@@ -9,6 +9,9 @@
 //      produces explicit OVERLOADED responses, not silent queueing.
 //   3. Deadline enforcement: requests with a tiny deadline budget are
 //      shed with DEADLINE_EXCEEDED at dispatch.
+// Phases 2 and 3 host bidirectional Dijkstra: a CH server answers point
+// queries on its event loops without queueing them, so only an
+// offloaded technique has a queue to overflow or wait in.
 //   4. Graceful drain: a SHUTDOWN frame mid-traffic answers every
 //      in-flight request before the server stops.
 //
@@ -25,6 +28,7 @@
 
 #include "bench/bench_util.h"
 #include "ch/ch_index.h"
+#include "dijkstra/bidirectional.h"
 #include "dijkstra/dijkstra.h"
 #include "graph/generator.h"
 #include "obs/histogram.h"
@@ -139,6 +143,7 @@ int main() {
   config.seed = 42;
   const Graph g = GenerateRoadNetwork(config);
   const ChIndex ch(g);
+  const BidirectionalDijkstra bidi(g);
   std::printf("graph: %u vertices, %zu edges; CH ready\n", g.NumVertices(),
               g.NumEdges());
 
@@ -179,7 +184,7 @@ int main() {
     options.queue_capacity = 1;  // deliberately undersized
     options.engine_threads = 1;
     options.max_dispatch_batch = 1;
-    QueryServer server(ch, wire::TechniqueId("ch"), g.NumVertices(),
+    QueryServer server(bidi, wire::TechniqueId("bidi"), g.NumVertices(),
                        options);
     std::string error;
     Check(server.Start(&error), "server start (overload phase)");
@@ -199,7 +204,7 @@ int main() {
   {
     ServerOptions options;
     options.engine_threads = 1;
-    QueryServer server(ch, wire::TechniqueId("ch"), g.NumVertices(),
+    QueryServer server(bidi, wire::TechniqueId("bidi"), g.NumVertices(),
                        options);
     std::string error;
     Check(server.Start(&error), "server start (deadline phase)");

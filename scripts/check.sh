@@ -3,11 +3,12 @@
 # the request-tracing smoke + overhead gate, the roadnet_lint +
 # clang-tidy static-analysis gate, the Clang Thread Safety Analysis gate
 # (with a scripted delete-one-annotation negative test), the wire/frame
-# fuzz smoke, an ASan+UBSan build running the complete suite, and a
-# ThreadSanitizer build exercising the concurrent engine/server tests.
+# fuzz smoke, the server/event-loop suites rerun beside CPU hogs, an
+# ASan+UBSan build running the complete suite, and a ThreadSanitizer
+# build exercising the concurrent engine/server tests.
 #
 #   scripts/check.sh                 # everything
-#   scripts/check.sh <stage>         # one stage: build smoke trace knn async lint tsa fuzz asan-ubsan tsan
+#   scripts/check.sh <stage>         # one stage: build smoke trace knn async lint tsa fuzz stress asan-ubsan tsan
 #   scripts/check.sh <ctest-filter>  # everything, regular ctest narrowed to -R filter
 #
 # Each sanitizer gets its own build directory (build-asan-ubsan/,
@@ -402,6 +403,16 @@ stage_fuzz() {
   fi
 }
 
+stage_stress() {
+  echo "==> Contention stress: server + event-loop suites beside CPU hogs"
+  # A separate tree, so the stress tests never join a regular ctest run.
+  # The hogs are at most min(4, nproc) busy loops (with_cpu_hogs.sh).
+  cmake -B build-stress -S . -DCMAKE_BUILD_TYPE=Release -DROADNET_STRESS=ON \
+    >/dev/null
+  cmake --build build-stress -j"$(nproc)" --target server_test event_loop_test
+  (cd build-stress && ctest --output-on-failure -L stress)
+}
+
 stage_asan_ubsan() {
   echo "==> ASan+UBSan build + full test suite (build-asan-ubsan/)"
   # -fno-sanitize-recover: the first UB report aborts the test, so the
@@ -420,10 +431,10 @@ stage_tsan() {
   cmake -B build-tsan -S . -DROADNET_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j"$(nproc)" --target \
     engine_equivalence_test engine_stress_test engine_edge_test \
-    ch_layout_test server_test event_loop_test wire_fuzz_test hl_test \
-    trace_test bench_server
+    ch_layout_test server_test event_loop_test inline_serving_test \
+    wire_fuzz_test hl_test trace_test bench_server
   (cd build-tsan && \
-    ctest --output-on-failure -R 'Engine(Equivalence|Stress|Edge)|ChLayout|QueryServer|EventLoopPool|Wire|BoundedQueue|HubLabel|Trace')
+    ctest --output-on-failure -R 'Engine(Equivalence|Stress|Edge)|QueryEngineLazyContexts|ChLayout|QueryServer|EventLoopPool|Wire|BoundedQueue|HubLabel|Trace')
   # The serving bench under TSan covers the accept/handler/dispatcher/client
   # thread web end to end.
   ROADNET_BENCH_FAST=1 build-tsan/bench/bench_server >/dev/null
@@ -439,6 +450,7 @@ case "$ARG" in
   lint)       stage_lint ;;
   tsa)        stage_tsa ;;
   fuzz)       stage_fuzz ;;
+  stress)     stage_stress ;;
   asan-ubsan) stage_asan_ubsan ;;
   tsan)       stage_tsan ;;
   ""|all)
@@ -450,6 +462,7 @@ case "$ARG" in
     stage_lint
     stage_tsa
     stage_fuzz
+    stage_stress
     stage_asan_ubsan
     stage_tsan
     ;;
@@ -463,6 +476,7 @@ case "$ARG" in
     stage_lint
     stage_tsa
     stage_fuzz
+    stage_stress
     stage_asan_ubsan
     stage_tsan
     ;;

@@ -73,7 +73,7 @@ void Dijkstra::RunAllWithFirstHop(VertexId s) {
 
 void Dijkstra::RunUntilSettled(VertexId s,
                                const std::vector<VertexId>& targets,
-                               size_t stop_after) {
+                               size_t stop_after, bool settle_ties) {
   Start(s);
   if (target_mark_.size() < graph_.NumVertices()) {
     target_mark_.assign(graph_.NumVertices(), 0);
@@ -87,11 +87,20 @@ void Dijkstra::RunUntilSettled(VertexId s,
     }
   }
   size_t remaining = std::min(distinct, stop_after);
+  Distance last = 0;  // distance of the most recently settled target
   while (!heap_.Empty() && remaining > 0) {
     VertexId u = SettleNext(/*track_first_hop=*/false);
     if (target_mark_[u] == target_generation_) {
       target_mark_[u] = target_generation_ - 1;  // count each target once
+      last = dist_[u];
       --remaining;
+    }
+  }
+  // Settle order among equal keys is the heap's, not the caller's: a
+  // target tied with the last one may still be queued.
+  if (settle_ties && remaining == 0) {
+    while (!heap_.Empty() && heap_.MinKey() <= last) {
+      SettleNext(/*track_first_hop=*/false);
     }
   }
 }

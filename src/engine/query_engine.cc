@@ -13,10 +13,10 @@ QueryEngine::QueryEngine(const PathIndex& index, size_t num_threads)
   workers_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     workers_.push_back(
-        Worker{std::thread(), index_.NewContext(), Histogram(), QueryCounters()});
+        Worker{std::thread(), nullptr, Histogram(), QueryCounters()});
   }
-  // Threads start only after every context exists, so WorkerLoop never
-  // observes a partially built pool.
+  // Threads start only after every worker slot exists, so WorkerLoop
+  // never observes a partially built pool.
   for (size_t i = 0; i < n; ++i) {
     workers_[i].thread = std::thread([this, i] { WorkerLoop(i); });
   }
@@ -146,10 +146,16 @@ BatchResult QueryEngine::RunInternal(
     result.query_counters.assign(count, QueryCounters{});
   }
 
-  // Reset the per-worker sinks before workers see the new epoch.
+  // Reset the per-worker sinks before workers see the new epoch, and
+  // build missing index contexts here, on the caller's thread: the epoch
+  // handshake below publishes them, and a task-only engine (a CH/HL
+  // server's kNN pool) never pays their O(n) scratch.
   for (Worker& w : workers_) {
     w.histogram.Reset();
     w.counters.Reset();
+    if (task == nullptr && w.context == nullptr) {
+      w.context = index_.NewContext();
+    }
   }
 
   Batch batch;

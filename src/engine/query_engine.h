@@ -101,7 +101,8 @@ struct BatchResult {
 // Concurrent batch query executor over any PathIndex.
 //
 // A fixed pool of workers is spawned once per engine, each owning one
-// QueryContext of the target index; batches are executed by splitting the
+// QueryContext of the target index, built on the first (source, target)
+// batch so a pool that only ever runs tasks never holds one; batches are executed by splitting the
 // query list into per-worker segments of cache-friendly contiguous
 // chunks. Workers drain their own segment first and then steal chunks
 // from the remaining segments of other workers, so a straggler (one
@@ -116,8 +117,8 @@ struct BatchResult {
 // may be long-lived and reused across many batches.
 class QueryEngine {
  public:
-  // Spawns `num_threads` workers (>= 1; 0 is clamped to 1) with one fresh
-  // context each. The index must outlive the engine and stay immutable
+  // Spawns `num_threads` workers (>= 1; 0 is clamped to 1); their index
+  // contexts are built by the first Run(). The index must outlive the engine and stay immutable
   // while batches run.
   QueryEngine(const PathIndex& index, size_t num_threads);
   ~QueryEngine();
@@ -171,6 +172,8 @@ class QueryEngine {
 
   struct Worker {
     std::thread thread;
+    // Null until the first pair batch; written by RunInternal on the
+    // caller's thread before the epoch bump publishes it to the worker.
     std::unique_ptr<QueryContext> context;
     // Per-worker observability sinks: only this worker writes them while
     // a batch runs (lock-free by construction); Run() resets them at

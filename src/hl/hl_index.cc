@@ -133,9 +133,7 @@ void HlIndex::BuildLabels(const HlConfig& config) {
 }
 
 std::unique_ptr<QueryContext> HlIndex::NewContext() const {
-  auto ctx = std::make_unique<Context>();
-  ctx->ch_ctx = ch_->NewContext();
-  return ctx;
+  return std::make_unique<Context>();
 }
 
 Distance HlIndex::DistanceQuery(QueryContext* ctx, VertexId s,
@@ -169,6 +167,7 @@ Path HlIndex::PathQuery(QueryContext* ctx, VertexId s, VertexId t) const {
   // unpacking already emits original-graph vertices. The counters are
   // the CH query's counters — that is the work this query did.
   Context* hl_ctx = static_cast<Context*>(ctx);
+  if (hl_ctx->ch_ctx == nullptr) hl_ctx->ch_ctx = ch_->NewContext();
   Path path = ch_->PathQuery(hl_ctx->ch_ctx.get(), s, t);
   hl_ctx->counters = hl_ctx->ch_ctx->counters;
   return path;

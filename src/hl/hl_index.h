@@ -118,7 +118,9 @@ class HlIndex : public PathIndex {
  private:
   struct Context : QueryContext {
     // Path queries delegate to the CH (labels cannot reconstruct
-    // vertices); this is the per-thread CH scratch they run on.
+    // vertices); this is the per-thread CH scratch they run on, built by
+    // the first path query so distance-only callers (an HL server's
+    // loops, HL distance batches) never hold its O(n) arrays.
     std::unique_ptr<QueryContext> ch_ctx;
   };
 

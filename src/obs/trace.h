@@ -22,9 +22,8 @@ namespace roadnet {
 
 // Per-request lifecycle tracing (DESIGN.md "Request tracing").
 //
-// A request that flows through the query server crosses four threads:
-// the accept loop, its connection handler, the dispatcher, and an engine
-// worker. Endpoint percentiles (PR 2/3) say *that* a request was slow;
+// A request offloaded by the query server crosses three threads: its
+// event loop, the dispatcher, and an engine worker. Endpoint percentiles (PR 2/3) say *that* a request was slow;
 // this subsystem says *where* — every request carries a RequestTrace
 // whose stages (accept -> frame_read -> enqueue -> queue_wait ->
 // batch_assembly -> execute -> reply_write) are stamped with
@@ -58,14 +57,17 @@ inline constexpr bool kTracingCompiledIn = true;
 // non-overlapping and monotonically ordered; gaps (scheduling delay
 // between dispatcher hand-off and worker pickup) are allowed and are
 // themselves diagnostic.
+// A request answered inline on its event loop (CH/HL point queries)
+// records queue_wait and batch_assembly as zero-length spans at the start
+// of execute, so both serving paths report the same stage set.
 enum class TraceStage : uint8_t {
-  kAccept = 0,         // accept(2) return -> handler thread first read
-  kFrameRead = 1,      // waiting for + reading the request frame
-  kEnqueue = 2,        // decode, validate, admission TryPush
+  kAccept = 0,         // accept(2) return -> loop polling the socket
+  kFrameRead = 1,      // first byte of the request frame -> its last
+  kEnqueue = 2,        // admission checks (and the queue TryPush)
   kQueueWait = 3,      // admitted -> dispatcher pops the batch
   kBatchAssembly = 4,  // batch pop -> engine Run() entry
-  kExecute = 5,        // per-query execution inside an engine worker
-  kReplyWrite = 6,     // handler wake -> response frame written
+  kExecute = 5,        // the query itself (engine worker or loop)
+  kReplyWrite = 6,     // reply encode/hand-off -> frame written
 };
 inline constexpr size_t kNumTraceStages = 7;
 

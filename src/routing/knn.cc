@@ -25,16 +25,15 @@ std::vector<KnnResult> KnnByDijkstra(const Graph& g,
   std::vector<bool> is_poi(g.NumVertices(), false);
   for (VertexId p : pois) is_poi[p] = true;
 
-  // Expanding search collecting POIs in settle order. Collecting a few
-  // extra lets equal-distance ties resolve by vertex id, matching the
-  // scan strategy exactly.
+  // Expanding search until k distinct POIs settle (or the component is
+  // exhausted), then on through every POI tied with the k-th: the heap
+  // settles equal distances in no particular id order, so cutting at the
+  // k-th settled POI could keep a higher id over a tied lower one. The
+  // sort below then resolves ties by vertex id, matching the scan
+  // strategy exactly.
   std::vector<KnnResult> results;
   Dijkstra dijkstra(g);
-  std::vector<VertexId> targets;
-  for (VertexId p : pois) targets.push_back(p);
-
-  // Run until k distinct POIs settle (or the component is exhausted).
-  dijkstra.RunUntilSettled(query, targets, k);
+  dijkstra.RunUntilSettled(query, pois, k, /*settle_ties=*/true);
   for (VertexId p : pois) {
     if (dijkstra.Settled(p)) {
       results.push_back(KnnResult{p, dijkstra.DistanceTo(p)});

@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <cstring>
@@ -32,6 +33,10 @@ constexpr int kAcceptBurst = 256;
 constexpr size_t kWheelBuckets = 64;
 
 constexpr uint32_t kConnEvents = EPOLLIN | EPOLLOUT | EPOLLET;
+
+ScopedFd OpenReserveFd() {
+  return ScopedFd(::open("/dev/null", O_RDONLY | O_CLOEXEC));
+}
 
 bool SetNonBlocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -81,7 +86,8 @@ struct EventLoopPool::Conn {
   bool want_out_edge = false;  // send() hit EAGAIN; wait for EPOLLOUT
   bool first_frame = true;
   uint64_t accept_ns = 0;
-  uint64_t read_start_ns = 0;
+  uint64_t registered_ns = 0;
+  uint64_t read_start_ns = 0;  // first byte of the frame being assembled
   uint64_t last_activity_ns = 0;
   FrameAssembler assembler;
   std::string out;       // queued reply bytes (length prefixes included)
@@ -92,6 +98,9 @@ struct EventLoopPool::Loop {
   uint32_t index = 0;
   ScopedFd epoll_fd;
   ScopedFd wake_fd;
+  // Nonzero while the listen fd is out of this loop's epoll set after
+  // descriptor exhaustion with no reserve left: when to watch it again.
+  uint64_t listen_resume_ns = 0;
   std::thread thread;
   std::vector<Conn> conns;
   std::vector<uint32_t> free_slots;
@@ -155,18 +164,9 @@ bool EventLoopPool::Start(ScopedFd listen_fd, std::string* error) {
       if (error) *error = "failed to register wakeup fd";
       return false;
     }
-    ev.events = EPOLLIN | EPOLLEXCLUSIVE;
-    ev.data.u64 = kListenTag;
-    if (::epoll_ctl(loop->epoll_fd.get(), EPOLL_CTL_ADD, listen_.get(),
-                    &ev) != 0) {
-      // EPOLLEXCLUSIVE needs Linux >= 4.5; plain shared registration is
-      // correct too (every loop may wake; all but one see EAGAIN).
-      ev.events = EPOLLIN;
-      if (::epoll_ctl(loop->epoll_fd.get(), EPOLL_CTL_ADD, listen_.get(),
-                      &ev) != 0) {
-        if (error) *error = "failed to register listen socket";
-        return false;
-      }
+    if (!WatchListen(loop.get())) {
+      if (error) *error = "failed to register listen socket";
+      return false;
     }
     if (options_.idle_timeout_ms > 0) {
       const uint64_t timeout_ns = options_.idle_timeout_ms * 1'000'000ull;
@@ -177,6 +177,10 @@ bool EventLoopPool::Start(ScopedFd listen_fd, std::string* error) {
     }
     loops_.push_back(std::move(loop));
   }
+  {
+    MutexLock lock(accept_mu_);
+    reserve_fd_ = OpenReserveFd();
+  }
   started_.store(true, std::memory_order_release);
   accepting_.store(true, std::memory_order_release);
   for (auto& loop : loops_) {
@@ -184,6 +188,21 @@ bool EventLoopPool::Start(ScopedFd listen_fd, std::string* error) {
     l->thread = std::thread([this, l] { LoopMain(l); });
   }
   return true;
+}
+
+bool EventLoopPool::WatchListen(Loop* loop) {
+  epoll_event ev{};
+  ev.events = EPOLLIN | EPOLLEXCLUSIVE;
+  ev.data.u64 = kListenTag;
+  if (::epoll_ctl(loop->epoll_fd.get(), EPOLL_CTL_ADD, listen_.get(), &ev) ==
+      0) {
+    return true;
+  }
+  // EPOLLEXCLUSIVE needs Linux >= 4.5; plain shared registration is
+  // correct too (every loop may wake; all but one see EAGAIN).
+  ev.events = EPOLLIN;
+  return ::epoll_ctl(loop->epoll_fd.get(), EPOLL_CTL_ADD, listen_.get(),
+                     &ev) == 0;
 }
 
 void EventLoopPool::Post(uint32_t loop, std::function<void()> fn) {
@@ -348,10 +367,13 @@ void EventLoopPool::ProcessInput(Loop* loop, uint32_t slot) {
       FrameMeta meta;
       meta.first_frame = c.first_frame;
       meta.accept_ns = c.accept_ns;
+      meta.registered_ns = c.registered_ns;
       meta.read_start_ns = c.read_start_ns;
       meta.frame_end_ns = now;
       meta.write_queue_bytes = c.out.size() - c.out_head;
       c.first_frame = false;
+      // A next frame already buffered starts now; an emptied assembler is
+      // restamped by the read that refills it.
       c.read_start_ns = now;
       const ConnRef ref{loop->index, slot, c.gen};
       if (!handler_->OnFrame(ref, std::move(body), meta)) c.dead = true;
@@ -375,8 +397,12 @@ void EventLoopPool::ProcessInput(Loop* loop, uint32_t slot) {
     }
     const ssize_t n = ::recv(c.fd.get(), buf, sizeof(buf), 0);
     if (n > 0) {
+      const uint64_t read_ns = NowNs();
+      // The first bytes of a new frame: its frame_read span starts here,
+      // not when the previous frame completed (that gap is client time).
+      if (c.assembler.BufferedBytes() == 0) c.read_start_ns = read_ns;
       c.assembler.Feed(buf, static_cast<size_t>(n));
-      c.last_activity_ns = NowNs();
+      c.last_activity_ns = read_ns;
       continue;
     }
     if (n == 0) {  // clean EOF
@@ -410,21 +436,41 @@ void EventLoopPool::CloseConn(Loop* loop, uint32_t slot) {
 void EventLoopPool::HandleAccept(Loop* loop) {
   if (!accepting_.load(std::memory_order_acquire)) return;
   for (int burst = 0; burst < kAcceptBurst; ++burst) {
-    const int fd = ::accept4(listen_.get(), nullptr, nullptr,
-                             SOCK_NONBLOCK | SOCK_CLOEXEC);
+    int fd = -1;
+    {
+      MutexLock lock(accept_mu_);
+      fd = ::accept4(listen_.get(), nullptr, nullptr,
+                     SOCK_NONBLOCK | SOCK_CLOEXEC);
+      // Out of descriptors, the connection would stay in the backlog and
+      // the level-triggered listen fd would wake every loop again at
+      // once, spinning them until an fd frees. When the reserve takes
+      // nothing, errno is its own accept's (EAGAIN: the backlog is empty)
+      // or EMFILE/ENFILE (no reserve left).
+      if (fd < 0 && (errno == EMFILE || errno == ENFILE) &&
+          RejectWithReserveFd(loop)) {
+        continue;
+      }
+    }
     if (fd < 0) {
       if (errno == EINTR) continue;
+      if (errno == EMFILE || errno == ENFILE) {
+        loop->rejected.fetch_add(1, std::memory_order_relaxed);
+        PauseListen(loop);
+        break;
+      }
       if (errno != EAGAIN && errno != EWOULDBLOCK &&
           errno != ECONNABORTED) {
         loop->rejected.fetch_add(1, std::memory_order_relaxed);
       }
       break;
     }
+    // Counters are published before the close: a peer that sees its
+    // connection closed may read Stats() at once.
     if (total_conns_.fetch_add(1, std::memory_order_relaxed) >=
         options_.max_connections) {
       total_conns_.fetch_sub(1, std::memory_order_relaxed);
-      ::close(fd);
       loop->rejected.fetch_add(1, std::memory_order_relaxed);
+      ::close(fd);
       continue;
     }
     const int one = 1;
@@ -454,16 +500,17 @@ void EventLoopPool::HandleAccept(Loop* loop) {
     ev.data.u64 = slot;
     if (::epoll_ctl(loop->epoll_fd.get(), EPOLL_CTL_ADD, c.fd.get(), &ev) !=
         0) {
+      total_conns_.fetch_sub(1, std::memory_order_relaxed);
+      loop->rejected.fetch_add(1, std::memory_order_relaxed);
       c.fd.Close();
       c.in_use = false;
       c.gen++;
       loop->free_slots.push_back(slot);
-      total_conns_.fetch_sub(1, std::memory_order_relaxed);
-      loop->rejected.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
-    c.read_start_ns = NowNs();
-    c.last_activity_ns = c.read_start_ns;
+    c.registered_ns = NowNs();
+    c.read_start_ns = c.registered_ns;
+    c.last_activity_ns = c.registered_ns;
     loop->accepted.fetch_add(1, std::memory_order_relaxed);
     loop->open_conns.fetch_add(1, std::memory_order_relaxed);
     ScheduleIdle(loop, slot);
@@ -471,6 +518,29 @@ void EventLoopPool::HandleAccept(Loop* loop) {
     // guaranteed to report bytes that raced the registration.
     ProcessInput(loop, slot);
   }
+}
+
+bool EventLoopPool::RejectWithReserveFd(Loop* loop) {
+  if (!reserve_fd_.valid()) {
+    reserve_fd_ = OpenReserveFd();  // lost while the process was full
+    if (!reserve_fd_.valid()) return false;
+  }
+  reserve_fd_.Close();
+  const int fd = ::accept4(listen_.get(), nullptr, nullptr, SOCK_CLOEXEC);
+  const int accept_errno = errno;
+  if (fd >= 0) {
+    loop->rejected.fetch_add(1, std::memory_order_relaxed);
+    ::close(fd);
+  }
+  reserve_fd_ = OpenReserveFd();
+  errno = accept_errno;
+  return fd >= 0;
+}
+
+void EventLoopPool::PauseListen(Loop* loop) {
+  constexpr uint64_t kListenPauseNs = 10'000'000;
+  ::epoll_ctl(loop->epoll_fd.get(), EPOLL_CTL_DEL, listen_.get(), nullptr);
+  loop->listen_resume_ns = NowNs() + kListenPauseNs;
 }
 
 void EventLoopPool::ScheduleIdle(Loop* loop, uint32_t slot) {
@@ -516,13 +586,16 @@ void EventLoopPool::LoopMain(Loop* loop) {
       loop->freed_pending.clear();
     }
     int timeout_ms = -1;
-    if (loop->tick_ns > 0) {
+    if (loop->tick_ns > 0 || loop->listen_resume_ns > 0) {
       const uint64_t now = NowNs();
-      const uint64_t next_tick_ns = (loop->wheel_tick + 1) * loop->tick_ns;
-      timeout_ms =
-          next_tick_ns > now
-              ? static_cast<int>((next_tick_ns - now) / 1'000'000 + 1)
-              : 0;
+      uint64_t wake_ns = ~uint64_t{0};
+      if (loop->tick_ns > 0) wake_ns = (loop->wheel_tick + 1) * loop->tick_ns;
+      if (loop->listen_resume_ns > 0) {
+        wake_ns = std::min(wake_ns, loop->listen_resume_ns);
+      }
+      timeout_ms = wake_ns > now
+                       ? static_cast<int>((wake_ns - now) / 1'000'000 + 1)
+                       : 0;
     }
     const int n = ::epoll_wait(loop->epoll_fd.get(), events.data(),
                                static_cast<int>(events.size()), timeout_ms);
@@ -566,6 +639,12 @@ void EventLoopPool::LoopMain(Loop* loop) {
       }
     }
     AdvanceWheel(loop, NowNs());
+    if (loop->listen_resume_ns > 0 && NowNs() >= loop->listen_resume_ns) {
+      loop->listen_resume_ns = 0;
+      // StopAccepting deregisters through a closure that runs on this
+      // thread after any re-registration here, so this cannot outlive it.
+      if (accepting_.load(std::memory_order_acquire)) WatchListen(loop);
+    }
   }
   // Drain anything still posted, then drop every connection this loop
   // owns. Pendings in flight resolve later through Post, which runs

@@ -13,6 +13,8 @@
 
 #include "server/socket.h"
 #include "server/wire.h"
+#include "util/mutex.h"
+#include "util/thread_annotations.h"
 
 namespace roadnet {
 
@@ -87,7 +89,12 @@ struct ConnRef {
 struct FrameMeta {
   bool first_frame = false;   // first frame of this connection
   uint64_t accept_ns = 0;     // when accept(2) returned this socket
-  uint64_t read_start_ns = 0; // when the loop began waiting for this frame
+  uint64_t registered_ns = 0; // when the loop began polling the socket
+  // When the frame's first byte was read: the read that fed an empty
+  // assembler, or the previous frame's extraction if this one's bytes
+  // were already buffered behind it. Never earlier, so the span from
+  // here to frame_end_ns excludes the client's idle time between frames.
+  uint64_t read_start_ns = 0;
   uint64_t frame_end_ns = 0;  // when the frame was completely buffered
   size_t write_queue_bytes = 0;  // this connection's unflushed reply bytes
 };
@@ -182,6 +189,16 @@ class EventLoopPool {
 
   void LoopMain(Loop* loop);
   void HandleAccept(Loop* loop);
+  // Out of descriptors: accepts one pending connection on the reserve fd
+  // and closes it at once. False if there was nothing to take (errno
+  // EAGAIN) or no reserve to spend (errno EMFILE/ENFILE).
+  bool RejectWithReserveFd(Loop* loop) ROADNET_REQUIRES(accept_mu_);
+  // Adds the listen fd to the loop's epoll set (EPOLLEXCLUSIVE when the
+  // kernel has it).
+  bool WatchListen(Loop* loop);
+  // Last resort when the reserve fd is lost too: stop polling the listen
+  // fd on this loop for a while instead of waking on it continuously.
+  void PauseListen(Loop* loop);
   void ProcessInput(Loop* loop, uint32_t slot);
   void FlushConn(Loop* loop, Conn* conn);
   void CloseConn(Loop* loop, uint32_t slot);
@@ -198,6 +215,14 @@ class EventLoopPool {
   std::atomic<bool> started_{false};
   std::atomic<bool> stopping_{false};
   std::atomic<bool> accepting_{false};
+  // accept(2) is serialized across loops, so the reserve-fd dance (close
+  // the reserve, accept, close, reopen) cannot lose the reserve's slot to
+  // a sibling loop's accept. Uncontended in practice: EPOLLEXCLUSIVE
+  // wakes one loop per pending connection.
+  Mutex accept_mu_;
+  // Held open so that, once the process runs out of descriptors, closing
+  // it frees a slot to accept-and-close a pending connection with.
+  ScopedFd reserve_fd_ ROADNET_GUARDED_BY(accept_mu_);
 };
 
 }  // namespace roadnet

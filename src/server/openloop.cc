@@ -4,9 +4,11 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
+#include <sys/prctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -56,6 +58,11 @@ class OpenLoopDriver {
             std::chrono::steady_clock::now() - epoch_)
             .count());
   }
+
+  // Waits for events at most `timeout_ns`, at nanosecond resolution
+  // (epoll_pwait2; whole milliseconds, rounded up, on kernels before
+  // 5.11 that lack it).
+  int Wait(epoll_event* events, int max_events, uint64_t timeout_ns);
 
   bool Fail(const std::string& why) {
     if (result_.error.empty()) result_.error = why;
@@ -182,12 +189,25 @@ void OpenLoopDriver::SetWantOut(size_t ci, bool want) {
   c.want_out = want;
 }
 
+int OpenLoopDriver::Wait(epoll_event* events, int max_events,
+                         uint64_t timeout_ns) {
+  const timespec ts{static_cast<time_t>(timeout_ns / 1'000'000'000),
+                    static_cast<long>(timeout_ns % 1'000'000'000)};
+  const int n = ::epoll_pwait2(epoll_fd_, events, max_events, &ts, nullptr);
+  if (n >= 0 || errno != ENOSYS) return n;
+  return ::epoll_wait(epoll_fd_, events, max_events,
+                      static_cast<int>((timeout_ns + 999'999) / 1'000'000));
+}
+
 void OpenLoopDriver::Pump(size_t ci) {
   ClientConn& c = conns_[ci];
   if (c.dead) return;
+  const uint64_t now = NowNs();
   while (c.outstanding < options_.pipeline && !c.deferred.empty()) {
     const uint64_t idx = c.deferred.front();
     c.deferred.pop_front();
+    const uint64_t sched = reqs_[idx].sched_ns;
+    result_.send_lateness.Record(now > sched ? now - sched : 0);
     wire::QueryRequest req;
     req.request_id = idx;
     req.technique = options_.technique;
@@ -312,6 +332,10 @@ OpenLoopResult OpenLoopDriver::Run() {
   if (!ConnectAll()) return std::move(result_);
   if (!PrimeAll()) return std::move(result_);
   BuildSchedule();
+  // Timers fire within a nanosecond of their deadline instead of the
+  // default 50 us slack; the thread's own setting is restored on return.
+  const int old_slack = ::prctl(PR_GET_TIMERSLACK, 0, 0, 0, 0);
+  ::prctl(PR_SET_TIMERSLACK, 1UL, 0, 0, 0);
   epoch_ = std::chrono::steady_clock::now();
 
   epoll_event events[256];
@@ -338,18 +362,13 @@ OpenLoopResult OpenLoopDriver::Run() {
       Pump(ci);
     }
 
-    int timeout_ms;
+    constexpr uint64_t kMaxWaitNs = 100'000'000;
+    uint64_t timeout_ns = kMaxWaitNs;
     if (next_idx_ < options_.total_requests) {
-      const uint64_t gap = reqs_[next_idx_].sched_ns > now
-                               ? reqs_[next_idx_].sched_ns - now
-                               : 0;
-      // Round up so we never wake before the arrival is actually due.
-      timeout_ms = static_cast<int>((gap + 999999) / 1000000);
-      if (timeout_ms > 100) timeout_ms = 100;
-    } else {
-      timeout_ms = 100;
+      const uint64_t sched = reqs_[next_idx_].sched_ns;
+      timeout_ns = std::min(sched > now ? sched - now : 0, kMaxWaitNs);
     }
-    const int n = ::epoll_wait(epoll_fd_, events, 256, timeout_ms);
+    const int n = Wait(events, 256, timeout_ns);
     if (n < 0) {
       if (errno == EINTR) continue;
       Fail("epoll_wait failed");
@@ -371,6 +390,10 @@ OpenLoopResult OpenLoopDriver::Run() {
       Fail("stalled: no replies for 15s after the last send");
       break;
     }
+  }
+
+  if (old_slack > 0) {
+    ::prctl(PR_SET_TIMERSLACK, static_cast<unsigned long>(old_slack), 0, 0, 0);
   }
 
   // Abortive close (RST, no TIME_WAIT): every reply is already in, and a

@@ -24,7 +24,9 @@ namespace roadnet {
 // One thread drives every connection through epoll: requests are
 // assigned round-robin, at most `pipeline` outstanding per connection
 // (later arrivals on a full connection stay queued client-side but keep
-// their original schedule stamp).
+// their original schedule stamp). The driver sleeps until the next
+// arrival with nanosecond timeouts (epoll_pwait2) and 1 ns timer slack on
+// its thread for the run, so sends do not bunch into millisecond bursts.
 struct OpenLoopOptions {
   std::string host = "127.0.0.1";
   uint16_t port = 0;
@@ -51,6 +53,9 @@ struct OpenLoopResult {
   uint64_t connection_errors = 0;
   std::array<uint64_t, 256> status_counts{};  // indexed by wire::Status
   Histogram latency;           // ns, scheduled arrival -> reply received
+  // ns, scheduled arrival -> request handed to send(2): the driver's own
+  // timing error (plus any wait for a pipeline slot).
+  Histogram send_lateness;
   double offered_qps = 0.0;
   double achieved_qps = 0.0;   // received / wall time
   uint64_t elapsed_ns = 0;

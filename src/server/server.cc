@@ -1,5 +1,6 @@
 #include "server/server.h"
 
+#include <optional>
 #include <utility>
 
 namespace roadnet {
@@ -21,6 +22,18 @@ const char* TraceStatusName(uint8_t status) {
 
 // Requests are tiny fixed-size frames; cap far below response sizes.
 constexpr uint32_t kMaxRequestBytes = 1024;
+
+// Techniques whose point queries run to completion on the event loop.
+// The ledger's slowest query among them is a CH path query, 10.5 us
+// (perfbench ch.path_ns on W-US'; an HL distance takes 0.46 us), while
+// one trip through the dispatcher and engine costs ~26 us of wake-ups
+// (engine.batch1_us) before any work. bidi and ALT search ~0.8 ms per
+// query (dijkstra.bidi_ns) and would stall every connection of a loop,
+// so they stay offloaded, as do custom indexes hosted as kAnyTechnique.
+bool AnswersPointsInline(uint8_t technique_id) {
+  return technique_id == wire::TechniqueId("ch") ||
+         technique_id == wire::TechniqueId("hl");
+}
 
 TracerOptions MakeTracerOptions(const ServerOptions& options) {
   TracerOptions t;
@@ -45,6 +58,7 @@ QueryServer::QueryServer(const PathIndex& index, uint8_t technique_id,
       num_vertices_(num_vertices),
       options_(options),
       knn_(knn),
+      inline_points_(AnswersPointsInline(technique_id)),
       engine_(index, options.engine_threads),
       queue_(options.queue_capacity),
       tracer_(MakeTracerOptions(options)) {
@@ -90,8 +104,10 @@ bool QueryServer::Start(std::string* error) {
   // is a private base: only members may convert to it.
   pool_ = std::make_unique<EventLoopPool>(lo, static_cast<FrameHandler*>(this));
   loop_shards_.clear();
+  loop_ctxs_.clear();
   for (size_t i = 0; i < lo.num_loops; ++i) {
     loop_shards_.push_back(tracer_.AcquireShard());
+    if (inline_points_) loop_ctxs_.push_back(index_.NewContext());
   }
   dispatch_thread_ = std::thread([this] { DispatchLoop(); });
   if (!pool_->Start(std::move(listen), error)) {
@@ -100,6 +116,7 @@ bool QueryServer::Start(std::string* error) {
     for (int shard : loop_shards_) tracer_.ReleaseShard(shard);
     loop_shards_.clear();
     pool_.reset();
+    loop_ctxs_.clear();
     // The exporter was started at the top of this function; a failed
     // Start must not leak its thread (and must close the JSONL file so
     // the caller can retry with the same path).
@@ -139,16 +156,19 @@ void QueryServer::Shutdown() {
   if (started_) {
     // 1. Stop accepting. Established connections keep running; their
     // loops reject new requests with SHUTTING_DOWN (draining_ is set).
+    // StopAccepting runs a closure on every loop, so once it returns no
+    // loop is still inside an OnFrame that admitted a request before
+    // draining_ was set: every inline reply is on its write queue.
     pool_->StopAccepting();
 
     // 2. Close the queue: the dispatcher drains everything already
-    // admitted and exits. Every drained Pending is Complete()d, which
+    // offloaded and exits. Every drained Pending is Complete()d, which
     // posts its reply to the owning loop.
     queue_.Close();
     dispatch_thread_.join();
 
     // 3. Wait for the completion closures: once in_flight_ hits zero,
-    // every admitted request has its reply on a connection write queue.
+    // every offloaded request has its reply on a connection write queue.
     {
       const auto deadline =
           std::chrono::steady_clock::now() + std::chrono::seconds(10);
@@ -255,8 +275,19 @@ bool QueryServer::OnFrame(const ConnRef& conn, std::string&& body,
     return false;
   }
 
-  auto owned = std::make_unique<Pending>();
-  Pending* p = owned.get();
+  // A point request on a CH/HL server runs to completion inside this
+  // call, so its state lives on the stack; every other request is heap-
+  // allocated because it outlives OnFrame on the dispatcher.
+  const bool run_inline =
+      inline_points_ && (*type == wire::kQuery || *type == wire::kQueryV2);
+  std::optional<Pending> local;
+  std::unique_ptr<Pending> owned;
+  if (run_inline) {
+    local.emplace();
+  } else {
+    owned = std::make_unique<Pending>();
+  }
+  Pending* p = run_inline ? &*local : owned.get();
   p->conn = conn;
   RequestTrace& trace = p->trace;
   const int shard = loop_shards_[conn.loop];
@@ -265,10 +296,10 @@ bool QueryServer::OnFrame(const ConnRef& conn, std::string&& body,
     // The first request's accept stage: accept(2) return to the loop
     // starting to wait for this connection's bytes.
     trace.RecordStage(TraceStage::kAccept, meta.accept_ns,
-                      meta.read_start_ns);
+                      meta.registered_ns);
   }
-  // frame_read covers waiting for and incrementally reassembling the
-  // frame (timestamps come from the loop's read path).
+  // frame_read runs from the frame's first byte to its last (timestamps
+  // come from the loop's read path), so it never covers client idle time.
   trace.RecordStage(TraceStage::kFrameRead, meta.read_start_ns,
                     meta.frame_end_ns);
   p->received = std::chrono::steady_clock::now();
@@ -326,28 +357,30 @@ bool QueryServer::OnFrame(const ConnRef& conn, std::string&& body,
     return true;
   }
 
-  // The enqueue span must close BEFORE TryPush: once the request is in
-  // the queue the dispatcher may pop it immediately and derive the
-  // queue_wait start from this stage's end stamp.
+  // enqueue covers the admission checks.
   TraceSpan enqueue_span(&trace, TraceStage::kEnqueue);
   wire::Status shed = wire::Status::kOk;
   if (draining_.load(std::memory_order_relaxed)) {
-    enqueue_span.Close();
     shed = wire::Status::kShuttingDown;
     shed_draining_.fetch_add(1, std::memory_order_relaxed);
   } else if (options_.write_queue_hard_cap > 0 &&
              meta.write_queue_bytes > options_.write_queue_hard_cap) {
     // The peer is not draining its replies; shedding here keeps a
     // non-reading client from pinning engine output in memory.
-    enqueue_span.Close();
     shed = wire::Status::kOverloaded;
     shed_overloaded_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    enqueue_span.Close();
-    if (!queue_.TryPush(p)) {
-      shed = wire::Status::kOverloaded;
-      shed_overloaded_.fetch_add(1, std::memory_order_relaxed);
-    }
+  }
+  // The span must close BEFORE TryPush: once the request is in the queue
+  // the dispatcher may pop it immediately and derive the queue_wait
+  // start from this stage's end stamp.
+  enqueue_span.Close();
+  if (shed == wire::Status::kOk && run_inline) {
+    RunInline(p);
+    return true;
+  }
+  if (shed == wire::Status::kOk && !queue_.TryPush(p)) {
+    shed = wire::Status::kOverloaded;
+    shed_overloaded_.fetch_add(1, std::memory_order_relaxed);
   }
   if (shed != wire::Status::kOk) {
     ReplyNow(p, shed);
@@ -359,6 +392,38 @@ bool QueryServer::OnFrame(const ConnRef& conn, std::string&& body,
   in_flight_.fetch_add(1, std::memory_order_relaxed);
   owned.release();
   return true;
+}
+
+void QueryServer::RunInline(Pending* p) {
+  RequestTrace& trace = p->trace;
+  // Nothing queued and nothing batched: queue_wait and batch_assembly are
+  // zero-length spans where execution starts, so an inline trace carries
+  // the same stages, in the same order, as an offloaded one.
+  const uint64_t start_ns = trace.NowNs();
+  trace.RecordStage(TraceStage::kQueueWait, start_ns, start_ns);
+  trace.RecordStage(TraceStage::kBatchAssembly, start_ns, start_ns);
+  QueryContext* ctx = loop_ctxs_[p->conn.loop].get();
+  const VertexId s = p->req.source;
+  const VertexId t = p->req.target;
+  const bool path = p->req.kind == wire::QueryKind::kPath;
+  // A path request answers both queries, as an engine path batch does.
+  p->resp.distance = index_.DistanceQuery(ctx, s, t);
+  QueryCounters counters = ctx->counters;
+  if (path) {
+    p->resp.path = index_.PathQuery(ctx, s, t);
+    counters += ctx->counters;
+  }
+  trace.RecordStage(TraceStage::kExecute, start_ns, trace.NowNs());
+  trace.counters = counters;
+  {
+    MutexLock lock(stats_mu_);
+    (path ? path_latency_ : distance_latency_)
+        .Record(ElapsedNanos(p->received));
+    counters_ += counters;
+  }
+  served_.fetch_add(1, std::memory_order_relaxed);
+  ReplyNow(p, p->resp.distance == kInfDistance ? wire::Status::kUnreachable
+                                               : wire::Status::kOk);
 }
 
 void QueryServer::RunSubBatch(std::vector<Pending*>& reqs, bool paths) {

@@ -65,21 +65,27 @@ struct ServerOptions {
 
 // Long-running TCP front-end over one immutable PathIndex.
 //
-// Threading model (see DESIGN.md "Async server core"):
+// Threading model (see DESIGN.md "Serving"):
 //   - a small pool of epoll event loops (EventLoopPool) owns every
 //     connection: nonblocking accepts sharded across loops, incremental
 //     frame reassembly from edge-triggered reads, pipelined requests
 //     (QUERY2 carries a request_id echoed in its reply, so many may be
 //     outstanding per connection and complete out of order);
-//   - OnFrame (on the loop thread) validates, stamps a receipt time, and
-//     TryPushes a heap-allocated Pending into the bounded queue — a full
-//     queue, a draining server, or a write queue over the hard cap is
-//     answered inline (OVERLOADED / SHUTTING_DOWN, explicit shedding);
-//   - one dispatcher thread drains the queue in batches, sheds requests
-//     whose deadline already passed (DEADLINE_EXCEEDED), and feeds the
-//     rest to the QueryEngine worker pool; each completed reply is
-//     posted back to the owning loop (wakeup fd), which writes it on
-//     the connection's bounded write queue and finishes the trace.
+//   - OnFrame (on the loop thread) decodes, validates and runs the
+//     admission checks: a draining server or a write queue over the hard
+//     cap is answered inline (SHUTTING_DOWN / OVERLOADED);
+//   - run to completion: on a CH or HL server every admitted point
+//     request (QUERY/QUERY2, distance or path) is answered right there,
+//     on the loop's own QueryContext — no allocation, no queue, no
+//     thread hop. The slowest such query takes microseconds, less than
+//     one hand-off to another thread would;
+//   - offload: everything else (bidi/ALT and custom indexes, kNN and
+//     one-to-many) goes as a heap-allocated Pending into the bounded
+//     queue (full => OVERLOADED). One dispatcher thread drains it in
+//     batches, sheds requests whose deadline already passed
+//     (DEADLINE_EXCEEDED) and feeds the rest to the QueryEngine worker
+//     pool; each completed reply is posted back to the owning loop
+//     (wakeup fd), which writes it and finishes the trace.
 //
 // Shutdown (SIGINT via RequestShutdown(), or a client SHUTDOWN frame)
 // drains: no new connections or requests are admitted (late requests get
@@ -99,8 +105,9 @@ class QueryServer : private FrameHandler {
   QueryServer(const QueryServer&) = delete;
   QueryServer& operator=(const QueryServer&) = delete;
 
-  // Binds and spawns the accept + dispatcher threads. False + *error on
-  // failure (e.g. port in use).
+  // Binds, builds the loops' query contexts (CH/HL servers), and spawns
+  // the event loops + dispatcher thread. False + *error on failure (e.g.
+  // port in use).
   bool Start(std::string* error);
 
   // Port actually bound (resolves port 0). Valid after Start().
@@ -138,12 +145,13 @@ class QueryServer : private FrameHandler {
   void ExportMetrics(MetricsRegistry* registry) const;
 
  private:
-  // One admitted request between the loops and the dispatcher.
-  // Heap-allocated by OnFrame; ownership flows loop -> bounded queue ->
-  // dispatcher -> (Post) back to the owning loop, which writes the reply
-  // and deletes it. No locking: each stage hands the pointer off before
-  // the next one touches it, and the Post hop orders the dispatcher's
-  // writes before the loop's reads.
+  // One request's state from decode to reply. A point request on a
+  // CH/HL server keeps it on the loop's stack for its whole (inline)
+  // life. Offloaded requests heap-allocate it in OnFrame; ownership
+  // flows loop -> bounded queue -> dispatcher -> (Post) back to the
+  // owning loop, which writes the reply and deletes it. No locking: each
+  // stage hands the pointer off before the next one touches it, and the
+  // Post hop orders the dispatcher's writes before the loop's reads.
   struct Pending {
     // Which request family this is; selects the active request struct
     // and the reply frame encoded for it.
@@ -160,10 +168,12 @@ class QueryServer : private FrameHandler {
     // Entry list of a kKnn / kOneToMany reply; status and latency are
     // copied out of `resp` when the reply frame is encoded.
     wire::KnnResponse knn_resp;
-    // Lifecycle trace. The loop thread stamps accept/frame_read/enqueue,
-    // the dispatcher and engine stamp queue_wait/batch_assembly/execute
-    // while the loop is not touching the Pending, and the completion
-    // closure stamps reply_write and Finishes on the loop's shard.
+    // Lifecycle trace. The loop thread stamps accept/frame_read/enqueue;
+    // for an offloaded request the dispatcher and engine stamp
+    // queue_wait/batch_assembly/execute while the loop is not touching
+    // the Pending, and the completion closure stamps reply_write and
+    // Finishes on the loop's shard. Inline requests stamp every stage on
+    // the loop thread.
     RequestTrace trace;
     // The connection this request came in on; replies route back through
     // it (and fail harmlessly if the connection died meanwhile).
@@ -177,6 +187,11 @@ class QueryServer : private FrameHandler {
   // thread.
   bool OnFrame(const ConnRef& conn, std::string&& body,
                const FrameMeta& meta) override;
+
+  // Runs one admitted point request to completion on the calling loop
+  // thread (CH/HL servers): executes it on the loop's context, records
+  // latency/counters/served like RunSubBatch, and replies.
+  void RunInline(Pending* p);
 
   void DispatchLoop();
 
@@ -192,8 +207,8 @@ class QueryServer : private FrameHandler {
   // status/latency into the kNN reply struct first, hence non-const).
   static std::string EncodeReply(Pending* p);
 
-  // Inline rejection on the loop thread (bad request, shedding): fills
-  // status/latency, writes the reply, finishes the trace.
+  // Reply on the loop thread (inline answers, bad requests, shedding):
+  // fills status/latency, writes the reply, finishes the trace.
   void ReplyNow(Pending* p, wire::Status status);
 
   // Dispatcher-side completion: fills status/latency, encodes the reply,
@@ -205,6 +220,8 @@ class QueryServer : private FrameHandler {
   const uint32_t num_vertices_;
   const ServerOptions options_;
   const KnnServing knn_;
+  // Point requests run inline on the loops (technique is CH or HL).
+  const bool inline_points_;
 
   QueryEngine engine_;
   BoundedQueue<Pending*> queue_;
@@ -221,11 +238,15 @@ class QueryServer : private FrameHandler {
   // Tracer shard of each event loop (the loop thread is its shard's only
   // producer); acquired in Start, released in Shutdown.
   std::vector<int> loop_shards_;
+  // One index context per event loop for inline point requests (empty
+  // unless inline_points_); built in Start, each touched only by its
+  // loop's thread.
+  std::vector<std::unique_ptr<QueryContext>> loop_ctxs_;
   std::thread dispatch_thread_;
   bool started_ = false;
 
-  // Admitted requests not yet replied (Pending objects alive past
-  // OnFrame). Shutdown waits for this to hit zero before stopping the
+  // Offloaded requests not yet replied (Pending objects alive past
+  // OnFrame; inline requests are replied before OnFrame returns). Shutdown waits for this to hit zero before stopping the
   // loops so every admitted request is answered. drain_mu_ guards no
   // field — the wait predicate is the atomic itself; the mutex only
   // serializes the sleep/notify handshake so the completion closure's
@@ -245,8 +266,8 @@ class QueryServer : private FrameHandler {
   bool shutdown_done_ ROADNET_GUARDED_BY(shutdown_mu_) = false;
 
   // Serving counters (atomics: bumped from loop threads) and
-  // per-endpoint latency histograms (dispatcher-written, mutex-guarded
-  // for STATS snapshots).
+  // per-endpoint latency histograms (written by the loops for inline
+  // requests and by the dispatcher for offloaded ones; mutex-guarded).
   std::atomic<uint64_t> served_{0};
   std::atomic<uint64_t> shed_overloaded_{0};
   std::atomic<uint64_t> shed_deadline_{0};

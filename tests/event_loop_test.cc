@@ -7,11 +7,15 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <fcntl.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <ctime>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -282,6 +286,140 @@ TEST(EventLoopPool, GaugesTrackConnectionsPerLoop) {
 
   pool.StopAccepting();
   pool.Stop();
+}
+
+double ProcessCpuSeconds() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + ts.tv_nsec * 1e-9;
+}
+
+// Lowers this process's soft RLIMIT_NOFILE for its lifetime.
+class ScopedSoftFdLimit {
+ public:
+  explicit ScopedSoftFdLimit(rlim_t soft) {
+    EXPECT_EQ(::getrlimit(RLIMIT_NOFILE, &saved_), 0);
+    rlimit low = saved_;
+    low.rlim_cur = soft;
+    EXPECT_EQ(::setrlimit(RLIMIT_NOFILE, &low), 0);
+  }
+  ~ScopedSoftFdLimit() { Restore(); }
+  ScopedSoftFdLimit(const ScopedSoftFdLimit&) = delete;
+  ScopedSoftFdLimit& operator=(const ScopedSoftFdLimit&) = delete;
+
+  void Restore() { ::setrlimit(RLIMIT_NOFILE, &saved_); }
+
+ private:
+  rlimit saved_{};
+};
+
+// Runs kPending connects against a two-loop pool while this process's
+// soft descriptor limit is `limit(lowest_free)`, and checks the loops
+// stay quiet and keep serving an existing connection. Reports the pool's
+// rejections over that second and its accepts once the limit is back
+// (waiting up to 2 s for `want_accepted` of them).
+struct ExhaustionOutcome {
+  uint64_t rejected = 0;
+  uint64_t accepted_after_restore = 0;
+  std::vector<ScopedFd> pending;
+};
+
+ExhaustionOutcome ConnectWhileOutOfDescriptors(int (*limit)(int lowest_free),
+                                               uint64_t want_accepted) {
+  constexpr size_t kPending = 32;
+  ExhaustionOutcome out;
+  BigReplyHandler handler(16);
+  EventLoopOptions options;
+  options.num_loops = 2;
+  options.max_connections = 64;
+  EventLoopPool pool(options, &handler);
+  handler.BindPool(&pool);
+  std::string error;
+  uint16_t port = 0;
+  ScopedFd listen = ListenTcp(0, &port, &error);
+  EXPECT_TRUE(listen.valid()) << error;
+  EXPECT_TRUE(pool.Start(std::move(listen), &error)) << error;
+
+  ScopedFd existing = RawConnect(port);
+  auto round_trip = [&existing] {
+    std::string reply;
+    return WriteFrame(existing.get(), "ping") &&
+           ReadFrame(existing.get(), &reply, 1024) && reply.size() == 16;
+  };
+  EXPECT_TRUE(round_trip());
+
+  // Client sockets are made while descriptors are still free; connect()
+  // needs none, so they can queue on the backlog after the limit drops.
+  for (size_t i = 0; i < kPending; ++i) {
+    out.pending.emplace_back(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
+    EXPECT_TRUE(out.pending.back().valid());
+  }
+  const int lowest_free = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+  EXPECT_GE(lowest_free, 0);
+  ::close(lowest_free);
+  ScopedSoftFdLimit low(static_cast<rlim_t>(limit(lowest_free)));
+  EXPECT_LT(::open("/dev/null", O_RDONLY | O_CLOEXEC), 0);
+
+  const uint64_t rejected_before = pool.Stats().rejected;
+  const uint64_t accepted_before = pool.Stats().accepted;
+  const double cpu_before = ProcessCpuSeconds();
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  for (ScopedFd& fd : out.pending) {
+    EXPECT_EQ(::connect(fd.get(), reinterpret_cast<sockaddr*>(&addr),
+                        sizeof(addr)),
+              0);
+  }
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  // A loop that leaves the connections on the level-triggered backlog
+  // and polls it again wakes at once, forever: about one core per loop
+  // for the whole second.
+  EXPECT_LT(ProcessCpuSeconds() - cpu_before, 0.25);
+  EXPECT_TRUE(round_trip()) << "the existing connection stopped being served";
+  out.rejected = pool.Stats().rejected - rejected_before;
+
+  // Descriptors free again: whatever is still on the backlog gets in.
+  low.Restore();
+  for (int spin = 0;
+       spin < 400 && pool.Stats().accepted - accepted_before < want_accepted;
+       ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  out.accepted_after_restore = pool.Stats().accepted - accepted_before;
+  pool.StopAccepting();
+  pool.Stop();
+  return out;
+}
+
+TEST(EventLoopPool, DescriptorExhaustionShedsWithTheReserveFd) {
+  // Limit at the lowest free descriptor: the pool's reserve sits below
+  // it, so each pending connection is accepted on the reserve's slot and
+  // closed at once.
+  ExhaustionOutcome out =
+      ConnectWhileOutOfDescriptors([](int lowest_free) { return lowest_free; },
+                                   /*want_accepted=*/0);
+  EXPECT_GE(out.rejected, out.pending.size());
+  EXPECT_EQ(out.accepted_after_restore, 0u);
+  for (ScopedFd& fd : out.pending) {
+    const timeval one_second{1, 0};
+    ::setsockopt(fd.get(), SOL_SOCKET, SO_RCVTIMEO, &one_second,
+                 sizeof(one_second));
+    char byte = 0;
+    EXPECT_EQ(::recv(fd.get(), &byte, 1, 0), 0) << "not closed by the pool";
+  }
+}
+
+TEST(EventLoopPool, DescriptorExhaustionWithoutReservePausesTheListener) {
+  // Limit 3: no descriptor the pool could free (the reserve included) is
+  // below it, so nothing can be accepted. The loops must back off rather
+  // than spin, and admit the waiting connections once the limit is back.
+  ExhaustionOutcome out =
+      ConnectWhileOutOfDescriptors([](int) { return 3; },
+                                   /*want_accepted=*/32);
+  EXPECT_GE(out.rejected, 1u);
+  EXPECT_EQ(out.accepted_after_restore, out.pending.size());
 }
 
 }  // namespace

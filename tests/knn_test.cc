@@ -103,5 +103,47 @@ TEST(Knn, DijkstraVariantStopsEarly) {
   EXPECT_LT(near_ball, probe.SettledCount());
 }
 
+TEST(Knn, DijkstraBreaksDistanceTiesByVertexId) {
+  // Eight POIs, all 7 away from vertex 0: leaves 1..4 hang off it
+  // directly, leaves 5..8 two hops out. Whatever order the heap settles
+  // them in, the k nearest are the k lowest ids, as the scan strategy
+  // answers.
+  GraphBuilder b(13);
+  for (VertexId leaf = 1; leaf <= 4; ++leaf) b.AddEdge(0, leaf, 7);
+  for (VertexId leaf = 5; leaf <= 8; ++leaf) {
+    b.AddEdge(0, leaf + 4, 3);
+    b.AddEdge(leaf + 4, leaf, 4);
+  }
+  const Graph g = std::move(b).Build();
+  std::vector<VertexId> pois = {8, 7, 6, 5, 4, 3, 2, 1};
+  for (size_t k = 1; k <= pois.size(); ++k) {
+    const auto results = KnnByDijkstra(g, pois, 0, k);
+    ASSERT_EQ(results.size(), k);
+    for (size_t i = 0; i < k; ++i) {
+      EXPECT_EQ(results[i].poi, i + 1) << "k=" << k;
+      EXPECT_EQ(results[i].dist, 7u);
+    }
+  }
+}
+
+TEST(Knn, DijkstraTieAtTheKthPoiKeepsTheLowerId) {
+  // Two POIs equally far (10) from vertex 0; the higher id is one hop
+  // away, the lower id three, so a search cut at the first settled POI
+  // would keep the higher id.
+  GraphBuilder b(5);
+  b.AddEdge(0, 4, 10);
+  b.AddEdge(0, 2, 2);
+  b.AddEdge(2, 3, 3);
+  b.AddEdge(3, 1, 5);
+  const Graph g = std::move(b).Build();
+  for (const std::vector<VertexId>& pois :
+       {std::vector<VertexId>{1, 4}, std::vector<VertexId>{4, 1}}) {
+    const auto results = KnnByDijkstra(g, pois, 0, 1);
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_EQ(results[0].poi, 1u);
+    EXPECT_EQ(results[0].dist, 10u);
+  }
+}
+
 }  // namespace
 }  // namespace roadnet

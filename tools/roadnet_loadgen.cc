@@ -378,6 +378,9 @@ int main(int argc, char** argv) {
                 res.latency.ValueAtQuantile(0.50) * 1e-3,
                 res.latency.ValueAtQuantile(0.99) * 1e-3,
                 res.latency.Max() * 1e-3);
+    std::printf("send late:   behind schedule p50 %.1f us, p99 %.1f us\n",
+                res.send_lateness.ValueAtQuantile(0.50) * 1e-3,
+                res.send_lateness.ValueAtQuantile(0.99) * 1e-3);
     if (!first_problem.empty()) {
       std::fprintf(stderr, "problem:     %s\n", first_problem.c_str());
     }
