@@ -43,11 +43,18 @@ stage_build() {
   echo "==> Release build + full test suite (build/)"
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release -DROADNET_WERROR=ON >/dev/null
   cmake --build build -j"$(nproc)"
-  if [[ -n "$filter" ]]; then
-    (cd build && ctest --output-on-failure -j"$(nproc)" -R "$filter")
-  else
-    (cd build && ctest --output-on-failure -j"$(nproc)")
+  local args=(--output-on-failure -j"$(nproc)")
+  if [[ -n "$filter" ]]; then args+=(-R "$filter"); fi
+  SMOKE="$(mktemp -d)"
+  (cd build && ctest "${args[@]}") | tee "$SMOKE/ctest.log"
+  # ctest counts a GTEST_SKIP as a pass; name skipped tests so a bound
+  # that went unchecked (the open-loop timing test on a busy host) shows.
+  if grep -q '\*\*\*Skipped' "$SMOKE/ctest.log"; then
+    echo "NOTE: skipped tests, counted as passed:"
+    grep '\*\*\*Skipped' "$SMOKE/ctest.log"
   fi
+  rm -rf "$SMOKE"
+  SMOKE=""
 }
 
 stage_smoke() {

@@ -73,7 +73,7 @@ void Dijkstra::RunAllWithFirstHop(VertexId s) {
 
 void Dijkstra::RunUntilSettled(VertexId s,
                                const std::vector<VertexId>& targets,
-                               size_t stop_after, bool settle_ties) {
+                               size_t stop_after) {
   Start(s);
   if (target_mark_.size() < graph_.NumVertices()) {
     target_mark_.assign(graph_.NumVertices(), 0);
@@ -98,7 +98,7 @@ void Dijkstra::RunUntilSettled(VertexId s,
   }
   // Settle order among equal keys is the heap's, not the caller's: a
   // target tied with the last one may still be queued.
-  if (settle_ties && remaining == 0) {
+  if (stop_after < distinct && remaining == 0) {
     while (!heap_.Empty() && heap_.MinKey() <= last) {
       SettleNext(/*track_first_hop=*/false);
     }

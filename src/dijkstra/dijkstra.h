@@ -36,14 +36,13 @@ class Dijkstra {
   void RunAllWithFirstHop(VertexId s);
 
   // Runs from s until `stop_after` distinct vertices of `targets` are
-  // settled (default: all of them), or the graph is exhausted. With
-  // `settle_ties`, keeps settling until every vertex as close as the
-  // stop_after-th target is settled too, so targets tied with it at that
-  // distance are all in. Used by TNR access-node computation and the
-  // kNN utilities.
+  // settled (default: all of them), or the graph is exhausted. When it
+  // stops early (stop_after below the number of distinct targets), it
+  // keeps settling until every vertex as close as the stop_after-th
+  // target is settled too, so targets tied with it are all in. Used by
+  // TNR access-node computation and the kNN utilities.
   void RunUntilSettled(VertexId s, const std::vector<VertexId>& targets,
-                       size_t stop_after = SIZE_MAX,
-                       bool settle_ties = false);
+                       size_t stop_after = SIZE_MAX);
 
   // --- Results of the most recent run ---
 

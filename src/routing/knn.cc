@@ -22,9 +22,6 @@ void SortResults(std::vector<KnnResult>* results) {
 std::vector<KnnResult> KnnByDijkstra(const Graph& g,
                                      const std::vector<VertexId>& pois,
                                      VertexId query, size_t k) {
-  std::vector<bool> is_poi(g.NumVertices(), false);
-  for (VertexId p : pois) is_poi[p] = true;
-
   // Expanding search until k distinct POIs settle (or the component is
   // exhausted), then on through every POI tied with the k-th: the heap
   // settles equal distances in no particular id order, so cutting at the
@@ -33,7 +30,7 @@ std::vector<KnnResult> KnnByDijkstra(const Graph& g,
   // strategy exactly.
   std::vector<KnnResult> results;
   Dijkstra dijkstra(g);
-  dijkstra.RunUntilSettled(query, pois, k, /*settle_ties=*/true);
+  dijkstra.RunUntilSettled(query, pois, k);
   for (VertexId p : pois) {
     if (dijkstra.Settled(p)) {
       results.push_back(KnnResult{p, dijkstra.DistanceTo(p)});

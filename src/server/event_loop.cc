@@ -101,6 +101,7 @@ struct EventLoopPool::Loop {
   // Nonzero while the listen fd is out of this loop's epoll set after
   // descriptor exhaustion with no reserve left: when to watch it again.
   uint64_t listen_resume_ns = 0;
+  uint64_t wake = 0;  // passes over ready events so far (FrameMeta::wake)
   std::thread thread;
   std::vector<Conn> conns;
   std::vector<uint32_t> free_slots;
@@ -371,6 +372,7 @@ void EventLoopPool::ProcessInput(Loop* loop, uint32_t slot) {
       meta.read_start_ns = c.read_start_ns;
       meta.frame_end_ns = now;
       meta.write_queue_bytes = c.out.size() - c.out_head;
+      meta.wake = loop->wake;
       c.first_frame = false;
       // A next frame already buffered starts now; an emptied assembler is
       // restamped by the read that refills it.
@@ -603,6 +605,7 @@ void EventLoopPool::LoopMain(Loop* loop) {
       if (errno == EINTR) continue;
       break;
     }
+    ++loop->wake;
     for (int i = 0; i < n; ++i) {
       const uint64_t tag = events[i].data.u64;
       const uint32_t ev = events[i].events;

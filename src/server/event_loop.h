@@ -97,6 +97,9 @@ struct FrameMeta {
   uint64_t read_start_ns = 0;
   uint64_t frame_end_ns = 0;  // when the frame was completely buffered
   size_t write_queue_bytes = 0;  // this connection's unflushed reply bytes
+  // Which pass of the loop over its ready events (one per epoll_wait
+  // return) delivered the frame; frames handled in one pass share it.
+  uint64_t wake = 0;
 };
 
 // The loops' upcall interface, implemented by QueryServer.

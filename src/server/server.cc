@@ -23,17 +23,26 @@ const char* TraceStatusName(uint8_t status) {
 // Requests are tiny fixed-size frames; cap far below response sizes.
 constexpr uint32_t kMaxRequestBytes = 1024;
 
-// Techniques whose point queries run to completion on the event loop.
-// The ledger's slowest query among them is a CH path query, 10.5 us
-// (perfbench ch.path_ns on W-US'; an HL distance takes 0.46 us), while
-// one trip through the dispatcher and engine costs ~26 us of wake-ups
-// (engine.batch1_us) before any work. bidi and ALT search ~0.8 ms per
-// query (dijkstra.bidi_ns) and would stall every connection of a loop,
-// so they stay offloaded, as do custom indexes hosted as kAnyTechnique.
+// Techniques whose point queries may run to completion on the event
+// loop. The ledger's slowest query among them is a CH path query,
+// 10.5 us (perfbench ch.path_ns on W-US'; an HL distance takes 0.46 us),
+// while one trip through the dispatcher and engine costs ~26 us of
+// wake-ups (engine.batch1_us) before any work. bidi and ALT search
+// ~0.8 ms per query (dijkstra.bidi_ns) and would stall every connection
+// of a loop, so they stay offloaded, as do custom indexes hosted as
+// kAnyTechnique. How much of a loop's traffic runs inline is bounded by
+// kInlineBudgetNs (see RunsInline).
 bool AnswersPointsInline(uint8_t technique_id) {
   return technique_id == wire::TechniqueId("ch") ||
          technique_id == wire::TechniqueId("hl");
 }
+
+// Inline time a loop spends per pass over its ready events before it
+// offloads further QUERY2 requests: about one hand-off to the engine
+// (engine.batch1_us, 26.5 us). Saturating throughput measured the same
+// for budgets of 25 to 500 us; the smallest keeps the wait it imposes on
+// the rest of the pass shortest.
+constexpr uint64_t kInlineBudgetNs = 25'000;
 
 TracerOptions MakeTracerOptions(const ServerOptions& options) {
   TracerOptions t;
@@ -104,10 +113,10 @@ bool QueryServer::Start(std::string* error) {
   // is a private base: only members may convert to it.
   pool_ = std::make_unique<EventLoopPool>(lo, static_cast<FrameHandler*>(this));
   loop_shards_.clear();
-  loop_ctxs_.clear();
+  inline_loops_.clear();
   for (size_t i = 0; i < lo.num_loops; ++i) {
     loop_shards_.push_back(tracer_.AcquireShard());
-    if (inline_points_) loop_ctxs_.push_back(index_.NewContext());
+    if (inline_points_) inline_loops_.push_back({index_.NewContext()});
   }
   dispatch_thread_ = std::thread([this] { DispatchLoop(); });
   if (!pool_->Start(std::move(listen), error)) {
@@ -116,7 +125,7 @@ bool QueryServer::Start(std::string* error) {
     for (int shard : loop_shards_) tracer_.ReleaseShard(shard);
     loop_shards_.clear();
     pool_.reset();
-    loop_ctxs_.clear();
+    inline_loops_.clear();
     // The exporter was started at the top of this function; a failed
     // Start must not leak its thread (and must close the JSONL file so
     // the caller can retry with the same path).
@@ -275,11 +284,10 @@ bool QueryServer::OnFrame(const ConnRef& conn, std::string&& body,
     return false;
   }
 
-  // A point request on a CH/HL server runs to completion inside this
-  // call, so its state lives on the stack; every other request is heap-
-  // allocated because it outlives OnFrame on the dispatcher.
-  const bool run_inline =
-      inline_points_ && (*type == wire::kQuery || *type == wire::kQueryV2);
+  // A request that runs to completion inside this call keeps its state
+  // on the stack; every other request is heap-allocated because it
+  // outlives OnFrame on the dispatcher.
+  const bool run_inline = RunsInline(conn.loop, *type, meta);
   std::optional<Pending> local;
   std::unique_ptr<Pending> owned;
   if (run_inline) {
@@ -394,6 +402,26 @@ bool QueryServer::OnFrame(const ConnRef& conn, std::string&& body,
   return true;
 }
 
+// The budget caps how long one pass keeps the requests behind it waiting
+// for the loop: past it, handing a QUERY2 request to the engine costs
+// less latency than queueing it behind more inline work, and spreads a
+// pipelined burst over the workers. The first request of a pass always
+// runs (nothing waits on the loop yet), so a quiet loop answers every
+// point request itself. v1 replies carry no id and leave in arrival
+// order; an offloaded one could be overtaken by a later inline one.
+bool QueryServer::RunsInline(uint32_t loop, uint8_t type,
+                             const FrameMeta& meta) {
+  if (!inline_points_) return false;
+  if (type == wire::kQuery) return true;
+  if (type != wire::kQueryV2) return false;
+  InlineLoop& il = inline_loops_[loop];
+  if (il.wake != meta.wake) {
+    il.wake = meta.wake;
+    il.spent_ns = 0;
+  }
+  return il.spent_ns < kInlineBudgetNs;
+}
+
 void QueryServer::RunInline(Pending* p) {
   RequestTrace& trace = p->trace;
   // Nothing queued and nothing batched: queue_wait and batch_assembly are
@@ -402,7 +430,8 @@ void QueryServer::RunInline(Pending* p) {
   const uint64_t start_ns = trace.NowNs();
   trace.RecordStage(TraceStage::kQueueWait, start_ns, start_ns);
   trace.RecordStage(TraceStage::kBatchAssembly, start_ns, start_ns);
-  QueryContext* ctx = loop_ctxs_[p->conn.loop].get();
+  InlineLoop& il = inline_loops_[p->conn.loop];
+  QueryContext* ctx = il.ctx.get();
   const VertexId s = p->req.source;
   const VertexId t = p->req.target;
   const bool path = p->req.kind == wire::QueryKind::kPath;
@@ -415,10 +444,11 @@ void QueryServer::RunInline(Pending* p) {
   }
   trace.RecordStage(TraceStage::kExecute, start_ns, trace.NowNs());
   trace.counters = counters;
+  const uint64_t latency_ns = ElapsedNanos(p->received);
+  il.spent_ns += latency_ns;
   {
     MutexLock lock(stats_mu_);
-    (path ? path_latency_ : distance_latency_)
-        .Record(ElapsedNanos(p->received));
+    (path ? path_latency_ : distance_latency_).Record(latency_ns);
     counters_ += counters;
   }
   served_.fetch_add(1, std::memory_order_relaxed);

@@ -74,18 +74,24 @@ struct ServerOptions {
 //   - OnFrame (on the loop thread) decodes, validates and runs the
 //     admission checks: a draining server or a write queue over the hard
 //     cap is answered inline (SHUTTING_DOWN / OVERLOADED);
-//   - run to completion: on a CH or HL server every admitted point
-//     request (QUERY/QUERY2, distance or path) is answered right there,
-//     on the loop's own QueryContext — no allocation, no queue, no
-//     thread hop. The slowest such query takes microseconds, less than
-//     one hand-off to another thread would;
+//   - run to completion: on a CH or HL server an admitted point request
+//     (QUERY/QUERY2, distance or path) is answered right there, on the
+//     loop's own QueryContext — no allocation, no queue, no thread hop —
+//     while the loop's inline work in its current pass over ready events
+//     is under a fixed budget (25 us, server.cc). QUERY2 requests past the
+//     budget are offloaded, so a pipelined burst is spread over the
+//     engine_threads workers instead of one loop; v1 QUERY requests,
+//     answered in arrival order without ids, always run inline. A quiet
+//     loop thus answers at one query's cost, and a saturated one at
+//     num_loops + engine_threads cores;
 //   - offload: everything else (bidi/ALT and custom indexes, kNN and
-//     one-to-many) goes as a heap-allocated Pending into the bounded
-//     queue (full => OVERLOADED). One dispatcher thread drains it in
-//     batches, sheds requests whose deadline already passed
-//     (DEADLINE_EXCEEDED) and feeds the rest to the QueryEngine worker
-//     pool; each completed reply is posted back to the owning loop
-//     (wakeup fd), which writes it and finishes the trace.
+//     one-to-many, QUERY2 past the budget) goes as a heap-allocated
+//     Pending into the bounded queue (full => OVERLOADED). One
+//     dispatcher thread drains it in batches, sheds requests whose
+//     deadline already passed (DEADLINE_EXCEEDED) and feeds the rest to
+//     the QueryEngine worker pool; each completed reply is posted back
+//     to the owning loop (wakeup fd), which writes it and finishes the
+//     trace.
 //
 // Shutdown (SIGINT via RequestShutdown(), or a client SHUTDOWN frame)
 // drains: no new connections or requests are admitted (late requests get
@@ -188,9 +194,15 @@ class QueryServer : private FrameHandler {
   bool OnFrame(const ConnRef& conn, std::string&& body,
                const FrameMeta& meta) override;
 
+  // Whether a frame of `type` runs to completion on the loop that read
+  // it: a point request on a CH/HL server, v1 always, QUERY2 while the
+  // loop's inline time in the frame's pass is under the budget.
+  bool RunsInline(uint32_t loop, uint8_t type, const FrameMeta& meta);
+
   // Runs one admitted point request to completion on the calling loop
   // thread (CH/HL servers): executes it on the loop's context, records
-  // latency/counters/served like RunSubBatch, and replies.
+  // latency/counters/served like RunSubBatch, charges its time to the
+  // loop's budget, and replies.
   void RunInline(Pending* p);
 
   void DispatchLoop();
@@ -220,7 +232,7 @@ class QueryServer : private FrameHandler {
   const uint32_t num_vertices_;
   const ServerOptions options_;
   const KnnServing knn_;
-  // Point requests run inline on the loops (technique is CH or HL).
+  // Point requests may run inline on the loops (technique is CH or HL).
   const bool inline_points_;
 
   QueryEngine engine_;
@@ -238,10 +250,15 @@ class QueryServer : private FrameHandler {
   // Tracer shard of each event loop (the loop thread is its shard's only
   // producer); acquired in Start, released in Shutdown.
   std::vector<int> loop_shards_;
-  // One index context per event loop for inline point requests (empty
-  // unless inline_points_); built in Start, each touched only by its
-  // loop's thread.
-  std::vector<std::unique_ptr<QueryContext>> loop_ctxs_;
+  // Run-to-completion state of each event loop (empty unless
+  // inline_points_): built in Start, each touched only by its loop's
+  // thread.
+  struct InlineLoop {
+    std::unique_ptr<QueryContext> ctx;
+    uint64_t wake = 0;      // the pass (FrameMeta::wake) being charged
+    uint64_t spent_ns = 0;  // inline request time charged to that pass
+  };
+  std::vector<InlineLoop> inline_loops_;
   std::thread dispatch_thread_;
   bool started_ = false;
 

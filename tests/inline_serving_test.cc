@@ -171,25 +171,26 @@ TEST(QueryServerInline, QueueStaysEmptyDuringPointTraffic) {
   ASSERT_TRUE(server.Start(&error)) << error;
   const auto pairs = RandomPairs(g, 64, 77);
 
+  // v1 QUERY frames always run on their loop, whatever the budget has
+  // left (sanitizer builds included), so nothing may reach the queue.
   std::atomic<bool> done{false};
   std::vector<std::thread> clients;
   for (int c = 0; c < 3; ++c) {
     clients.emplace_back([&, c] {
-      ScopedFd conn = RawConnect(server.Port());
+      std::string client_error;
+      auto client =
+          BlockingClient::Connect("127.0.0.1", server.Port(), &client_error);
+      ASSERT_NE(client, nullptr) << client_error;
       for (int round = 0; round < 20; ++round) {
         for (size_t i = 0; i < pairs.size(); ++i) {
           wire::QueryRequest req;
-          req.request_id = i;
           req.kind = (i + c) % 4 == 0 ? wire::QueryKind::kPath
                                       : wire::QueryKind::kDistance;
           req.source = pairs[i].first;
           req.target = pairs[i].second;
-          ASSERT_TRUE(
-              WriteFrame(conn.get(), wire::EncodeQueryRequestV2(req)));
-        }
-        for (size_t i = 0; i < pairs.size(); ++i) {
-          std::string body;
-          ASSERT_TRUE(ReadFrame(conn.get(), &body, wire::kMaxFrameBytes));
+          wire::QueryResponse resp;
+          ASSERT_TRUE(client->Query(req, &resp, &client_error))
+              << client_error;
         }
       }
     });
@@ -209,6 +210,62 @@ TEST(QueryServerInline, QueueStaysEmptyDuringPointTraffic) {
   poller.join();
   EXPECT_GT(samples, 0u);
   EXPECT_EQ(server.Stats().served, 3u * 20u * pairs.size());
+  server.Shutdown();
+}
+
+// Sends `count` QUERY2 distance requests in one write, so the loop reads
+// them in one pass, and checks every reply against Dijkstra.
+void PipelineBurst(const Graph& g, uint16_t port, size_t count,
+                   uint64_t seed) {
+  const auto pairs = RandomPairs(g, count, seed);
+  std::string burst;
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    wire::QueryRequest req;
+    req.request_id = i;
+    req.source = pairs[i].first;
+    req.target = pairs[i].second;
+    const std::string body = wire::EncodeQueryRequestV2(req);
+    const uint32_t len = static_cast<uint32_t>(body.size());
+    burst.append(reinterpret_cast<const char*>(&len), sizeof(len));
+    burst += body;
+  }
+  ScopedFd conn = RawConnect(port);
+  ASSERT_EQ(::send(conn.get(), burst.data(), burst.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(burst.size()));
+  Dijkstra oracle(g);
+  std::vector<bool> seen(pairs.size(), false);
+  for (size_t n = 0; n < pairs.size(); ++n) {
+    std::string body;
+    ASSERT_TRUE(ReadFrame(conn.get(), &body, wire::kMaxFrameBytes));
+    const auto resp = wire::DecodeQueryResponseV2(body);
+    ASSERT_TRUE(resp.has_value());
+    ASSERT_LT(resp->request_id, seen.size());
+    EXPECT_FALSE(seen[resp->request_id]) << "duplicate reply";
+    seen[resp->request_id] = true;
+    const auto [s, t] = pairs[resp->request_id];
+    ExpectAnswer(g, oracle.Run(s, t), wire::QueryKind::kDistance, s, t,
+                 *resp);
+  }
+}
+
+TEST(QueryServerInline, PipelinedBurstPastTheBudgetSpillsToTheEngine) {
+  const Graph g = TestNetwork(400, 111);
+  const ChIndex ch(g);
+  const ContextCountingIndex counted(ch);
+  ServerOptions options;
+  options.num_loops = 1;
+  options.engine_threads = 2;
+  QueryServer server(counted, wire::TechniqueId("ch"), g.NumVertices(),
+                     options);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  EXPECT_EQ(counted.Contexts(), 1u);  // the loop's
+  // 256 requests take well over the loop's 25 us budget for one pass:
+  // the rest of the burst goes to the engine, whose workers build their
+  // contexts on their first batch.
+  PipelineBurst(g, server.Port(), 256, 113);
+  EXPECT_EQ(counted.Contexts(), 1u + options.engine_threads);
+  EXPECT_EQ(server.Stats().served, 256u);
   server.Shutdown();
 }
 

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "ch/ch_index.h"
 #include "hl/hl_index.h"
@@ -83,12 +84,16 @@ TEST(OpenLoop, SubMillisecondScheduleHoldsAtTenThousandPerSecond) {
   // of up to 20. The meter shares the VM, not the driver's vCPU, so it can
   // miss a stall; fewer than 3 undisturbed trials means the host was too
   // busy for the schedule to say anything about the driver, and the
-  // timing part is skipped.
+  // tight bounds are skipped. A looser bound is checked on every run, so
+  // a regression cannot hide behind the skip: the median of all trials'
+  // p50s, which a stall moves only if it eats half of most trials, stays
+  // under 300 us (waits rounded up to whole milliseconds sit near 500 us).
   HostStallMeter meter;
   constexpr uint64_t kStallNs = 500'000;
   uint64_t best_p99 = ~0ull;
   uint64_t best_p50 = ~0ull;
   uint64_t judged = 0;
+  std::vector<uint64_t> trial_p50s;
   for (uint64_t trial = 0; trial < 20 && (judged < 3 || best_p99 >= 200'000);
        ++trial) {
     olo.seed = 109 + trial;
@@ -96,6 +101,7 @@ TEST(OpenLoop, SubMillisecondScheduleHoldsAtTenThousandPerSecond) {
     const OpenLoopResult res = RunOpenLoop(olo);
     ASSERT_TRUE(res.ok) << res.error;
     EXPECT_EQ(res.send_lateness.Count(), olo.total_requests);
+    trial_p50s.push_back(res.send_lateness.ValueAtQuantile(0.50));
     if (meter.TakeMaxOversleepNs() >= kStallNs) continue;
     ++judged;
     const uint64_t p99 = res.send_lateness.ValueAtQuantile(0.99);
@@ -105,6 +111,9 @@ TEST(OpenLoop, SubMillisecondScheduleHoldsAtTenThousandPerSecond) {
     }
   }
   server.Shutdown();
+  std::sort(trial_p50s.begin(), trial_p50s.end());
+  EXPECT_LT(trial_p50s[trial_p50s.size() / 2], 300'000u)
+      << "median send-lateness p50 of " << trial_p50s.size() << " trials";
   if (judged < 3) {
     GTEST_SKIP() << "the host stalled " << 20 - judged << " of 20 trials by >= "
                  << kStallNs << " ns: send lateness not judged";

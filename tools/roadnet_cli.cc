@@ -18,7 +18,7 @@
 //                          [--poi pois.bin]
 //                          [--technique bidi|ch|alt|hl] [--port P]
 //                          [--port-file FILE] [--threads T]
-//                          [--queue-cap N] [--max-conns N]
+//                          [--queue-cap N] [--max-conns N] [--loops L]
 //                          [--metrics-out FILE] [--trace-out FILE]
 //                          [--trace-sample N] [--slow-us T] [--trace-seed S]
 //
@@ -94,6 +94,11 @@ int Usage() {
       "             [--trace-seed S]\n"
       "    Runs the TCP query service until SIGINT or a SHUTDOWN frame,\n"
       "    then drains in-flight requests and exits.\n"
+      "    --loops L event loops read and write every connection; on a ch\n"
+      "    or hl server they also answer point queries themselves, up to\n"
+      "    25 us of them per pass over ready events, before handing the\n"
+      "    rest to the --threads T engine workers, which run everything\n"
+      "    else (bidi/alt, kNN, one-to-many).\n"
       "    --metrics-out writes JSONL metrics (CSV if FILE ends in .csv).\n"
       "    --trace-out writes captured request traces as JSONL; capture\n"
       "    every Nth request (--trace-sample) plus everything slower than\n"
