@@ -10,9 +10,12 @@
 // Prints a paper-style table per dataset plus bucket-space and IER
 // lower-bound summaries, and writes machine-readable JSONL (validated
 // by scripts/validate_metrics.py). Exits nonzero on any result
-// mismatch, or if bucket-CH is not faster than brute-force Dijkstra on
-// the aggregate kNN workload of the largest dataset — the regression
-// gate scripts/check.sh runs (IER is reported for comparison, not
+// mismatch, if bucket-CH is not faster than brute-force Dijkstra on
+// the aggregate kNN workload of the largest dataset, or if on any
+// category with more than one POI bucket-CH's k=1 query does not settle
+// strictly fewer vertices on average than its one-to-many query (the
+// k-bounded search stopped at the kth-best distance) — the regression
+// gates scripts/check.sh runs (IER is reported for comparison, not
 // gated: on sparse categories its certified Euclidean bound degrades
 // toward a linear scan and that is expected, not a regression).
 
@@ -102,6 +105,7 @@ int main(int argc, char** argv) {
 
   const size_t sources_per_cell = quick ? 30 : 120;
   bool gate_failed = false;
+  bool shape_failed = false;
   for (size_t di = 0; di < specs.size(); ++di) {
     const DatasetSpec& spec = specs[di];
     const bool largest = di + 1 == specs.size();
@@ -150,6 +154,7 @@ int main(int argc, char** argv) {
         s = static_cast<VertexId>(rng.NextBelow(g.NumVertices()));
       }
 
+      double k1_settled = 0;
       for (uint32_t k : kSweepK) {
         // Correctness pass (doubles as warm-up): all three strategies
         // must agree exactly, and the counters are collected here.
@@ -190,6 +195,7 @@ int main(int argc, char** argv) {
         total_brute += brute_us * sources.size();
 
         const double n = static_cast<double>(sources.size());
+        if (k == 1) k1_settled = sum_settled / n;
         std::printf("%-12s %4u %6zu  %10.2f %10.2f %10.2f  %8.1f %8.1f\n",
                     pois.CategoryName(c).c_str(), k, cat_vec.size(),
                     bucket_us, ier_us, brute_us, sum_settled / n,
@@ -209,8 +215,10 @@ int main(int argc, char** argv) {
       }
 
       // One-to-many: definitionally k = |category|, checked as such.
+      uint64_t otm_settled_sum = 0;
       for (VertexId s : sources) {
         bucket.OneToManyQuery(&bucket_ctx, c, s, &otm_out);
+        otm_settled_sum += bucket_ctx.counters.vertices_settled;
         bucket.KnnQuery(&bucket_ctx, c, s, cat_vec.size(), &bucket_out);
         if (otm_out != bucket_out) {
           std::fprintf(stderr,
@@ -225,12 +233,27 @@ int main(int argc, char** argv) {
           bucket.OneToManyQuery(&bucket_ctx, c, s, &otm_out);
         }
       });
-      std::printf("%-12s %4s %6zu  %10.2f %10s %10s  (one-to-many)\n",
+      const double otm_settled =
+          static_cast<double>(otm_settled_sum) / sources.size();
+      std::printf("%-12s %4s %6zu  %10.2f %10s %10s  %8.1f  (one-to-many)\n",
                   pois.CategoryName(c).c_str(), "all", cat_vec.size(),
-                  otm_us, "-", "-");
+                  otm_us, "-", "-", otm_settled);
       metrics.Add("knn_one_to_many_us", otm_us,
                   {{"dataset", spec.name},
                    {"category", pois.CategoryName(c)}});
+      metrics.Add("knn_one_to_many_settled_avg", otm_settled,
+                  {{"dataset", spec.name},
+                   {"category", pois.CategoryName(c)}});
+      // The shape gate: a k-bounded search that never stops early settles
+      // the whole upward space, exactly what one-to-many settles.
+      if (cat_vec.size() > 1 && !(k1_settled < otm_settled)) {
+        std::fprintf(stderr,
+                     "FAIL: %s/%s: k=1 settles %.1f vertices on average, "
+                     "not fewer than one-to-many's %.1f\n",
+                     spec.name.c_str(), pois.CategoryName(c).c_str(),
+                     k1_settled, otm_settled);
+        shape_failed = true;
+      }
     }
 
     const double speedup = total_bucket > 0 ? total_brute / total_bucket : 0;
@@ -267,6 +290,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("\nwrote %s\n", out_path.c_str());
+  if (shape_failed) return 1;
   if (gate_failed) {
     std::fprintf(stderr,
                  "FAIL: bucket-CH kNN not faster than brute-force Dijkstra "

@@ -119,17 +119,7 @@ constexpr uint32_t kChVersion = 3;
 ChIndex::ChIndex(const Graph& g, DeserializeTag) : graph_(g) {}
 
 std::unique_ptr<QueryContext> ChIndex::NewContext() const {
-  auto ctx = std::make_unique<Context>(graph_.NumVertices());
-  // The settle loops append every freshly reached rank to `touched`.
-  // Reserving past any road-network CH search-space size here means a
-  // reused context's queries never grow the vectors mid-search (R11); a
-  // pathological search still grows them, but only once per context.
-  constexpr size_t kTouchedReserve = 4096;
-  ctx->forward.touched.reserve(std::min<size_t>(kTouchedReserve,
-                                                graph_.NumVertices()));
-  ctx->backward.touched.reserve(std::min<size_t>(kTouchedReserve,
-                                                 graph_.NumVertices()));
-  return ctx;
+  return std::make_unique<Context>(graph_.NumVertices());
 }
 
 void ChIndex::Serialize(std::ostream& out) const {
@@ -351,6 +341,7 @@ uint32_t ChIndex::Search(Context* ctx, uint32_t s, uint32_t t,
         d = cand;
         aux[a.target].parent_arc = arc;
         if (fresh) {
+          // roadnet-lint: allow(R11 touched is reserved in SearchSide's constructor in ch_index.h beside UpwardSearch's loop; the rule looks for the reserve in this file only)
           side->touched.push_back(a.target);
           side->HeapPush(a.target, cand);
         } else {
@@ -429,43 +420,15 @@ Path ChIndex::PathQuery(QueryContext* raw_ctx, VertexId s,
 }
 
 void ChIndex::UpwardSearchSpace(
-    QueryContext* raw_ctx, VertexId s,
+    QueryContext* ctx, VertexId s,
     std::vector<std::pair<VertexId, Distance>>* out) const {
-  // One-directional upward Dijkstra without stalling: every settled vertex
-  // carries its exact upward distance, which the many-to-many bucket
-  // algorithm requires. Runs in the caller's context so the n calls TNR
-  // preprocessing makes stay allocation-free.
-  Context* ctx = static_cast<Context*>(raw_ctx);
-  SearchSide& side = ctx->forward;
-  side.Reset();
-  const uint32_t start = rank_[s];
-  side.dist[start] = 0;
-  side.touched.push_back(start);
-  side.HeapPush(start, 0);
-
   out->clear();
-  while (!side.HeapEmpty()) {
-    const HeapEntry top = side.HeapPopMin();
-    const uint32_t u = top.rank;
-    const Distance du = top.key;
-    // roadnet-lint: allow(R11 caller-owned output; its final size is the settled count, unknowable before the search — callers reuse the vector across calls so growth amortizes to zero)
-    out->emplace_back(order_[u], du);
-    for (const HotArc& a : Arcs(u)) {
-      const Distance cand = du + a.weight;
-      Distance& d = side.dist[a.target];
-      if (cand < d) {
-        const bool fresh = d == kInfDistance;
-        // No parent recorded: search spaces only need (vertex, distance).
-        d = cand;
-        if (fresh) {
-          side.touched.push_back(a.target);
-          side.HeapPush(a.target, cand);
-        } else {
-          side.HeapDecrease(a.target, cand);
-        }
-      }
-    }
-  }
+  // The output grows to the settled count, unknowable before the search;
+  // callers reuse the vector across calls so growth amortizes to zero.
+  UpwardSearch(ctx, s, [&](uint32_t rank, Distance d) {
+    out->emplace_back(order_[rank], d);
+    return true;
+  });
 }
 
 }  // namespace roadnet

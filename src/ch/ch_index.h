@@ -79,14 +79,23 @@ class ChIndex : public PathIndex {
   size_t NumShortcuts() const { return num_shortcuts_; }
   size_t SettledCount() const { return ContextCounters().vertices_settled; }
 
+  // One-directional upward Dijkstra from s without stalling, so every
+  // settled vertex carries its exact upward distance (what bucket joins
+  // require). Calls visit(rank, dist) once per settled vertex, in
+  // nondecreasing dist order, before relaxing its arcs; a false return
+  // stops the search there. Runs in ctx's forward side, so repeated calls
+  // on one context are allocation-free; thread-safe with one context per
+  // thread like the query API.
+  template <typename Visit>
+  void UpwardSearch(QueryContext* ctx, VertexId s, Visit&& visit) const;
+
   // Forward upward search space of s: every vertex settled by the upward
   // Dijkstra (external ids), with its distance, appended to *out (which
   // is cleared first). The building block of the many-to-many engine TNR
   // preprocessing uses (Appendix B remedy: "we construct contraction
   // hierarchies in advance to reduce the computation cost of deriving
-  // access nodes"). Reuses ctx's scratch, so repeated calls with the same
-  // context and out vector are allocation-free; thread-safe with one
-  // context per thread like the query API.
+  // access nodes"). UpwardSearch with a visitor that never stops; reusing
+  // the context and out vector keeps repeated calls allocation-free.
   void UpwardSearchSpace(QueryContext* ctx, VertexId s,
                          std::vector<std::pair<VertexId, Distance>>* out)
       const;
@@ -166,7 +175,14 @@ class ChIndex : public PathIndex {
     // stall-and-relax scan, committed only if the vertex is not stalled.
     std::vector<uint32_t> relax_buf;
 
-    explicit SearchSide(uint32_t n) : dist(n, kInfDistance), aux(n) {}
+    // The settle loops append every freshly reached rank to `touched`.
+    // Reserving past any road-network CH search-space size here means a
+    // reused context's searches never grow it mid-search (R11); a
+    // pathological search still grows it, but only once per context.
+    explicit SearchSide(uint32_t n) : dist(n, kInfDistance), aux(n) {
+      constexpr uint32_t kTouchedReserve = 4096;
+      touched.reserve(n < kTouchedReserve ? n : kTouchedReserve);
+    }
 
     // Prepares the side for a new search. The touched entries' lines are
     // still cached from the search that wrote them, so this is far
@@ -296,6 +312,40 @@ class ChIndex : public PathIndex {
   std::vector<ArcUnpack> unpack_;
   size_t num_shortcuts_ = 0;
 };
+
+template <typename Visit>
+void ChIndex::UpwardSearch(QueryContext* raw_ctx, VertexId s,
+                           Visit&& visit) const {
+  // Reset at entry, like Search: the side's touched list (reserved in
+  // SearchSide's constructor) is the only per-search state to undo.
+  SearchSide& side = static_cast<Context*>(raw_ctx)->forward;
+  side.Reset();
+  const uint32_t start = rank_[s];
+  side.dist[start] = 0;
+  side.touched.push_back(start);
+  side.HeapPush(start, 0);
+  while (!side.HeapEmpty()) {
+    const HeapEntry top = side.HeapPopMin();
+    const uint32_t u = top.rank;
+    const Distance du = top.key;
+    if (!visit(u, du)) return;
+    for (const HotArc& a : Arcs(u)) {
+      const Distance cand = du + a.weight;
+      Distance& d = side.dist[a.target];
+      if (cand < d) {
+        const bool fresh = d == kInfDistance;
+        // No parent recorded: visitors only need (vertex, distance).
+        d = cand;
+        if (fresh) {
+          side.touched.push_back(a.target);
+          side.HeapPush(a.target, cand);
+        } else {
+          side.HeapDecrease(a.target, cand);
+        }
+      }
+    }
+  }
+}
 
 }  // namespace roadnet
 

@@ -1,6 +1,7 @@
 #ifndef ROADNET_IO_CRC32_H_
 #define ROADNET_IO_CRC32_H_
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -64,7 +65,11 @@ inline void WriteChecksummedPayload(std::ostream& out,
 // Reads a checksummed payload block into *payload. On failure returns
 // false and describes the problem ("truncated", "checksum mismatch") in
 // *error with `what` as a prefix. `max_bytes` guards against a corrupt
-// length triggering a giant allocation.
+// length triggering a giant allocation. The header's length is never
+// trusted with memory: a seekable stream is checked against the bytes
+// it still holds and read in one piece; any other stream is read in
+// bounded chunks, so a flipped length byte fails as a truncated payload
+// after allocating at most one chunk past the stream's end.
 inline bool ReadChecksummedPayload(std::istream& in, std::string* payload,
                                    const std::string& what,
                                    std::string* error,
@@ -76,9 +81,22 @@ inline bool ReadChecksummedPayload(std::istream& in, std::string* payload,
   uint64_t size = 0;
   if (!ReadScalar(in, &size)) return fail("truncated header");
   if (size > max_bytes) return fail("implausible payload length (corrupt?)");
-  payload->resize(size);
-  in.read(payload->data(), static_cast<std::streamsize>(size));
-  if (!in) return fail("truncated payload");
+  uint64_t chunk = uint64_t{1} << 24;
+  const std::istream::pos_type here = in.tellg();
+  if (here != std::istream::pos_type(-1) && in.seekg(0, std::ios::end)) {
+    const uint64_t remaining = static_cast<uint64_t>(in.tellg() - here);
+    in.seekg(here);
+    if (size > remaining) return fail("truncated payload");
+    chunk = size;
+  }
+  payload->clear();
+  while (payload->size() < size) {
+    const size_t have = payload->size();
+    const size_t step = static_cast<size_t>(std::min(chunk, size - have));
+    payload->resize(have + step);
+    in.read(payload->data() + have, static_cast<std::streamsize>(step));
+    if (!in) return fail("truncated payload");
+  }
   uint32_t stored = 0;
   if (!ReadScalar(in, &stored)) return fail("missing checksum trailer");
   if (stored != Crc32(*payload)) {

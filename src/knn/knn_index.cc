@@ -24,22 +24,23 @@ KnnBucketIndex::KnnBucketIndex(const ChIndex& ch, const PoiSet& pois)
   offsets_.resize(num_categories);
   entries_.resize(num_categories);
   std::unique_ptr<QueryContext> ctx = ch_.NewContext();
-  std::vector<std::pair<VertexId, Distance>> space;
   // Backward upward search from every POI: the graph is undirected, so
   // the upward space from p holds exact d(p, v) for every settled v.
   // Entries are counting-sorted into a per-rank CSR so a query scans
-  // each settled vertex's bucket as one contiguous range.
+  // each settled vertex's bucket as one contiguous range, then each
+  // bucket is sorted by (dist, poi) so a k-bounded scan can stop at the
+  // first entry past the kth-best.
   std::vector<std::pair<uint32_t, BucketEntry>> raw;
   for (uint32_t c = 0; c < num_categories; ++c) {
     const std::span<const VertexId> list = pois_.Vertices(c);
     max_category_size_ = std::max(max_category_size_, list.size());
     raw.clear();
     for (uint32_t i = 0; i < list.size(); ++i) {
-      ch_.UpwardSearchSpace(ctx.get(), list[i], &space);
-      for (const auto& [v, d] : space) {
-        assert(v < n);
-        raw.push_back({ch_.RankOf(v), BucketEntry{i, d}});
-      }
+      ch_.UpwardSearch(ctx.get(), list[i], [&](uint32_t rank, Distance d) {
+        assert(rank < n);
+        raw.push_back({rank, BucketEntry{i, d}});
+        return true;
+      });
     }
     std::vector<uint32_t>& offsets = offsets_[c];
     offsets.assign(static_cast<size_t>(n) + 1, 0);
@@ -49,6 +50,12 @@ KnnBucketIndex::KnnBucketIndex(const ChIndex& ch, const PoiSet& pois)
     entries.resize(raw.size());
     std::vector<uint32_t> cursor(offsets.begin(), offsets.end() - 1);
     for (const auto& [rank, entry] : raw) entries[cursor[rank]++] = entry;
+    for (uint32_t r = 0; r < n; ++r) {
+      std::sort(entries.begin() + offsets[r], entries.begin() + offsets[r + 1],
+                [](const BucketEntry& a, const BucketEntry& b) {
+                  return a.dist != b.dist ? a.dist < b.dist : a.poi < b.poi;
+                });
+    }
   }
 }
 
@@ -131,24 +138,20 @@ void KnnBucketIndex::TryImprove(Context* ctx, uint32_t poi, Distance dist,
 void KnnBucketIndex::Join(Context* ctx, uint32_t category, VertexId s,
                           size_t bound_k) const {
   ctx->counters.Reset();
-  ch_.UpwardSearchSpace(ctx->ch_ctx.get(), s, &ctx->space);
-  ctx->counters.Settle(ctx->space.size());
   const std::vector<uint32_t>& offsets = offsets_[category];
   const std::vector<BucketEntry>& entries = entries_[category];
-  for (const auto& [v, df] : ctx->space) {
-    // Distance-bounded scan: once k results are held, a forward vertex
-    // further than the kth-best cannot contribute (bucket distances are
-    // non-negative), so its whole bucket is skipped.
-    const bool full = bound_k > 0 && ctx->heap.size() == bound_k;
-    if (full && df > ctx->heap[0].first) continue;
-    const uint32_t rank = ch_.RankOf(v);
-    for (uint32_t e = offsets[rank]; e < offsets[rank + 1]; ++e) {
-      ctx->counters.TableLookup();
-      const Distance total = df + entries[e].dist;
-      if (bound_k > 0) {
-        TryImprove(ctx, entries[e].poi, total, bound_k);
-      } else {
-        // Exhaustive one-to-many join: best[] only, no heap.
+  // Streams the upward search: each settled vertex's bucket is scanned
+  // the moment it settles, and the k-bounded join ends the search once
+  // nothing left can enter the result (see the class comment for why
+  // stopping there is exact).
+  ch_.UpwardSearch(ctx->ch_ctx.get(), s, [&](uint32_t rank, Distance df) {
+    ctx->counters.Settle();
+    const uint32_t end = offsets[rank + 1];
+    if (bound_k == 0) {
+      // Exhaustive one-to-many join: best[] only, no heap, no stop.
+      for (uint32_t e = offsets[rank]; e < end; ++e) {
+        ctx->counters.TableLookup();
+        const Distance total = df + entries[e].dist;
         Distance& best = ctx->best[entries[e].poi];
         if (best == kInfDistance) {
           ctx->touched.push_back(entries[e].poi);
@@ -157,8 +160,22 @@ void KnnBucketIndex::Join(Context* ctx, uint32_t category, VertexId s,
           best = total;
         }
       }
+      return true;
     }
-  }
+    // Settle order is nondecreasing in df, so once k results are held a
+    // vertex past the kth-best ends the search; within a bucket sorted
+    // by dist, the first entry past it ends the scan. Strict > keeps
+    // candidates tied with the kth-best, which may still displace it on
+    // vertex id.
+    if (ctx->heap.size() == bound_k && df > ctx->heap[0].first) return false;
+    for (uint32_t e = offsets[rank]; e < end; ++e) {
+      ctx->counters.TableLookup();
+      const Distance total = df + entries[e].dist;
+      if (ctx->heap.size() == bound_k && total > ctx->heap[0].first) break;
+      TryImprove(ctx, entries[e].poi, total, bound_k);
+    }
+    return true;
+  });
 }
 
 void KnnBucketIndex::KnnQuery(Context* ctx, uint32_t category, VertexId s,

@@ -2,6 +2,7 @@
 #define ROADNET_KNN_KNN_INDEX_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "ch/ch_index.h"
@@ -18,18 +19,28 @@ namespace roadnet {
 //
 // Preprocessing runs one backward upward search from every POI of every
 // category and records, for each settled vertex (in rank space), a
-// bucket entry (poi, distance-to-poi). The graph is undirected, so one
-// upward search space serves both directions. A query runs one forward
-// upward search from the source and joins its settled (vertex, d_f)
-// pairs against the vertex's bucket: d_f + bucket distance is an upper
-// bound on the network distance to that POI, and the minimum over all
-// common settled vertices is exact (the CH search-space property).
+// bucket entry (poi, distance-to-poi); each bucket is sorted by
+// (distance, poi). The graph is undirected, so one upward search space
+// serves both directions. A query streams one forward upward search from
+// the source and scans each vertex's bucket as the vertex settles:
+// d_f + bucket distance is an upper bound on the network distance to
+// that POI, and the minimum over all common settled vertices is exact
+// (the CH search-space property: the apex v of a shortest s-p path is in
+// both spaces with exact upward distances).
 //
 // kNN keeps a bounded k-max-heap with decrease-key over the candidate
-// POIs; once it holds k results, forward vertices whose d_f already
-// exceeds the kth-best distance are skipped without scanning their
-// bucket. Ties break ascending on vertex id everywhere, so results are
-// deterministic and comparable bit-for-bit against the Dijkstra oracle.
+// POIs. Once it holds k results it stops the search at the first settled
+// vertex with d_f > kth-best, and stops a bucket scan at the first entry
+// with d_f + dist > kth-best. This is exact: the kth-best only shrinks,
+// and a POI p that belongs in the answer, at true distance D <= the final
+// kth-best, has its apex at d_f <= D — settled before the stop, with
+// p's entry in its bucket at d_f + dist = D, before the scan's cut. So
+// every reported distance is exact, and any POI that could displace the
+// kth-best was seen. Both cuts are strict, so a POI tied with the
+// kth-best still competes on vertex id. Ties break ascending on vertex
+// id everywhere, so results are deterministic and comparable
+// bit-for-bit against the Dijkstra oracle. One-to-many runs the same
+// streaming join without a bound and never stops.
 //
 // Immutable after construction (lint R2); every query runs on a
 // caller-owned Context (R3), so one index serves any number of threads.
@@ -43,9 +54,11 @@ class KnnBucketIndex {
     Context(Context&&) = default;
     Context& operator=(Context&&) = default;
 
-    // Operation counts of the most recent query on this context
-    // (settled = forward search space size, table_lookups = bucket
-    // entries scanned). Reset on query entry, like every QueryContext.
+    // Operation counts of the most recent query on this context:
+    // settled = vertices the forward upward search settled (up to and
+    // including the one that stopped it), table_lookups = bucket entries
+    // read (including the one that cut a scan). Reset on query entry,
+    // like every QueryContext.
     QueryCounters counters;
 
    private:
@@ -53,7 +66,6 @@ class KnnBucketIndex {
     static constexpr uint32_t kNotInHeap = 0xFFFFFFFFu;
 
     std::unique_ptr<QueryContext> ch_ctx;
-    std::vector<std::pair<VertexId, Distance>> space;
     // Join state per poi index of the queried category; reset via
     // `touched` so queries stay O(search space), not O(|POIs|).
     std::vector<Distance> best;
@@ -99,8 +111,9 @@ class KnnBucketIndex {
   };
 
   // Joins the forward search space of s against category c's buckets,
-  // filling ctx->best/touched. With bound_k > 0 the bounded heap prunes
-  // the scan; with bound_k == 0 the join is exhaustive (one-to-many).
+  // filling ctx->best/touched. With bound_k > 0 the bounded heap stops
+  // the search and the bucket scans early; with bound_k == 0 the join is
+  // exhaustive (one-to-many).
   void Join(Context* ctx, uint32_t category, VertexId s,
             size_t bound_k) const;
   void TryImprove(Context* ctx, uint32_t poi, Distance dist,
@@ -111,9 +124,10 @@ class KnnBucketIndex {
   const ChIndex& ch_;
   const PoiSet& pois_;
   size_t max_category_size_ = 0;
-  // Per category: CSR over contraction ranks into the entry array. High
-  // ranks are the dense shared core every search converges into, so the
-  // hot buckets sit in one contiguous stretch.
+  // Per category: CSR over contraction ranks into the entry array, each
+  // rank's range sorted by (dist, poi). High ranks are the dense shared
+  // core every search converges into, so the hot buckets sit in one
+  // contiguous stretch.
   std::vector<std::vector<uint32_t>> offsets_;
   std::vector<std::vector<BucketEntry>> entries_;
 };

@@ -1,6 +1,9 @@
 #include "ch/ch_index.h"
 
+#include <cstdint>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "ch/contraction.h"
 #include "ch/many_to_many.h"
@@ -123,6 +126,60 @@ TEST(ManyToMany, EmptyInputs) {
   ChIndex ch(g);
   EXPECT_TRUE(ManyToManyDistances(&ch, {}, {1, 2}).empty());
   EXPECT_TRUE(ManyToManyDistances(&ch, {1}, {}).empty());
+}
+
+// The HL build, many-to-many and the kNN bucket build consume
+// UpwardSearchSpace's exact output, so moving its loop behind the
+// UpwardSearch visitor must not change it. The digest pins every
+// (vertex, distance) pair in settle order, from every source of a fixed
+// network, to what the dedicated loop produced before the move.
+TEST(ChIndex, UpwardSearchSpaceOutputIsUnchanged) {
+  const Graph g = TestNetwork(400, 71);
+  const ChIndex ch(g);
+  std::unique_ptr<QueryContext> ctx = ch.NewContext();
+  std::vector<std::pair<VertexId, Distance>> space;
+  uint64_t digest = 1469598103934665603ull;  // FNV-1a over 32-bit words
+  auto mix = [&digest](uint32_t word) {
+    digest = (digest ^ word) * 1099511628211ull;
+  };
+  size_t total = 0;
+  for (VertexId s = 0; s < g.NumVertices(); ++s) {
+    ch.UpwardSearchSpace(ctx.get(), s, &space);
+    ASSERT_FALSE(space.empty());
+    EXPECT_EQ(space.front(), (std::pair<VertexId, Distance>{s, 0}));
+    for (size_t i = 1; i < space.size(); ++i) {
+      ASSERT_LE(space[i - 1].second, space[i].second) << "s=" << s;
+    }
+    for (const auto& [v, d] : space) {
+      mix(v);
+      mix(static_cast<uint32_t>(d));
+    }
+    total += space.size();
+  }
+  EXPECT_EQ(total, size_t{8855});
+  EXPECT_EQ(digest, uint64_t{6687046746000060426u});
+}
+
+// A visitor that returns false ends the search at that vertex: what it
+// saw is exactly the matching prefix of the full search space.
+TEST(ChIndex, UpwardSearchStopsWhereTheVisitorSays) {
+  const Graph g = TestNetwork(300, 73);
+  const ChIndex ch(g);
+  std::unique_ptr<QueryContext> ctx = ch.NewContext();
+  std::vector<std::pair<VertexId, Distance>> space, seen;
+  for (VertexId s = 0; s < g.NumVertices(); s += 7) {
+    ch.UpwardSearchSpace(ctx.get(), s, &space);
+    for (size_t stop = 1; stop <= space.size(); ++stop) {
+      seen.clear();
+      ch.UpwardSearch(ctx.get(), s, [&](uint32_t rank, Distance d) {
+        seen.emplace_back(ch.VertexAtRank(rank), d);
+        return seen.size() < stop;
+      });
+      const std::vector<std::pair<VertexId, Distance>> prefix(
+          space.begin(), space.begin() + stop);
+      ASSERT_EQ(seen, prefix) << "s=" << s << " stop=" << stop;
+    }
+  }
 }
 
 }  // namespace

@@ -2,9 +2,14 @@
 
 #include <cstdio>
 #include <sstream>
+#include <streambuf>
+#include <string>
+#include <utility>
 
 #include "ch/ch_index.h"
 #include "hl/hl_index.h"
+#include "io/binary.h"
+#include "io/crc32.h"
 #include "poi/poi_set.h"
 #include "tests/test_util.h"
 #include "gtest/gtest.h"
@@ -273,6 +278,67 @@ TEST(HeaderRegionSerialization, PoiRejectsEveryHeaderByteFlip) {
         std::stringstream in(bytes);
         return PoiSet::Deserialize(in, error) != nullptr;
       });
+}
+
+// --- Checksummed payload length (io/crc32.h) ---
+//
+// The u64 length in front of every payload is read before the CRC can
+// vouch for it. A flipped high byte must fail as truncation without
+// allocating what it claims, for streams that can tell how many bytes
+// they hold and for streams that cannot.
+
+// An in-memory stream that cannot seek (std::streambuf's default
+// seekoff/seekpos fail), standing in for a pipe or socket.
+class UnseekableBuf : public std::streambuf {
+ public:
+  explicit UnseekableBuf(std::string bytes) : bytes_(std::move(bytes)) {
+    setg(bytes_.data(), bytes_.data(), bytes_.data() + bytes_.size());
+  }
+
+ private:
+  std::string bytes_;
+};
+
+std::string PayloadBlock(uint64_t claimed_length, const std::string& body) {
+  std::ostringstream out;
+  WriteScalar<uint64_t>(out, claimed_length);
+  out << body;
+  WriteScalar<uint32_t>(out, Crc32(body));
+  return out.str();
+}
+
+TEST(ChecksummedPayload, HugeClaimedLengthOverShortStreamFailsFast) {
+  const std::string block =
+      PayloadBlock(uint64_t{1} << 33, std::string(12, 'x'));
+  ASSERT_EQ(block.size(), 24u);  // the length field, then 16 bytes
+  {
+    std::istringstream in(block);
+    std::string payload, error;
+    EXPECT_FALSE(ReadChecksummedPayload(in, &payload, "t", &error));
+    EXPECT_EQ(error, "t: truncated payload");
+    EXPECT_LT(payload.capacity(), size_t{1} << 10);
+  }
+  {
+    UnseekableBuf buf(block);
+    std::istream in(&buf);
+    std::string payload, error;
+    EXPECT_FALSE(ReadChecksummedPayload(in, &payload, "t", &error));
+    EXPECT_EQ(error, "t: truncated payload");
+    // One bounded chunk, not the 8 GiB the header claims.
+    EXPECT_LE(payload.capacity(), size_t{1} << 25);
+  }
+}
+
+TEST(ChecksummedPayload, UnseekableStreamReadsPayloadsLongerThanAChunk) {
+  std::string body((size_t{1} << 24) + 4099, '\0');
+  for (size_t i = 0; i < body.size(); ++i) {
+    body[i] = static_cast<char>(i * 131 + (i >> 13));
+  }
+  UnseekableBuf buf(PayloadBlock(body.size(), body));
+  std::istream in(&buf);
+  std::string payload, error;
+  ASSERT_TRUE(ReadChecksummedPayload(in, &payload, "t", &error)) << error;
+  EXPECT_EQ(payload, body);
 }
 
 }  // namespace
